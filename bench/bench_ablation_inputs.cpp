@@ -24,6 +24,7 @@
 #include "bench_util.hpp"
 #include "core/iatf.hpp"
 #include "core/keyframe_advisor.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -199,8 +200,8 @@ int main() {
   CsvWriter csv(bench::output_dir() + "/ablation_inputs.csv",
                 {"inputs", "regimeA", "regimeB"});
 
-  CachedSequence seq_a(regime_a_source(), 6, 512);
-  CachedSequence seq_b(regime_b_source(), 6, 512);
+  StreamedSequence seq_a(regime_a_source(), {.histogram_bins = 512});
+  StreamedSequence seq_b(regime_b_source(), {.histogram_bins = 512});
   Mask truth_a = regime_a_truth();
   Mask truth_b = regime_b_truth(eval_step);
 

@@ -18,6 +18,7 @@
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
 #include "nn/normalizer.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -89,7 +90,7 @@ int main() {
   cfg.dims = Dims{48, 48, 48};
   cfg.num_steps = 360;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source);
   auto [vlo, vhi] = seq.value_range();
 
   auto ring_tf = [&](int step) {

@@ -12,6 +12,7 @@
 #include "core/iatf.hpp"
 #include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -24,7 +25,7 @@ int main() {
   cfg.dims = Dims{48, 48, 48};
   cfg.num_steps = 63;
   auto source = std::make_shared<SwirlingFlowSource>(cfg);
-  CachedSequence seq(source, 6, 256);
+  StreamedSequence seq(source);
 
   // Key-frame TFs: the user marks the feature's value band at the first and
   // last step — "by decreasing the tracked value range for the last

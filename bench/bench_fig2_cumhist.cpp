@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "volume/histogram.hpp"
@@ -23,7 +24,7 @@ int main() {
   cfg.dims = Dims{48, 48, 48};
   cfg.num_steps = 360;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 4, 256);
+  StreamedSequence seq(source);
 
   const int steps[] = {200, 250, 300};
   Table table({"t", "ring_value_center", "ring_cumhist", "hist_peak_bin",

@@ -10,6 +10,7 @@
 #include "bench_util.hpp"
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -27,7 +28,7 @@ int main() {
   // regime (the key-frame bands are disjoint).
   cfg.drift_per_step = 0.004;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 6, 256);
+  StreamedSequence seq(source);
   auto [vlo, vhi] = seq.value_range();
 
   auto ring_tf = [&](int step) {

@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -28,7 +29,7 @@ int main() {
   // step is unsuitable for the later time steps".
   cfg.drift_per_step = 0.004;
   auto source = std::make_shared<ArgonBubbleSource>(cfg);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source);
   auto [vlo, vhi] = seq.value_range();
 
   auto ring_tf = [&](int step) {

@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -27,7 +28,7 @@ int main() {
   cfg.num_steps = 31;  // snapshot s maps to paper t = 8 + 4*s -> 8..128
   cfg.solver_steps_per_snapshot = 3;
   auto source = std::make_shared<CombustionJetSource>(cfg);
-  CachedSequence seq(source, 8, 256);
+  StreamedSequence seq(source);
   auto [vlo, vhi] = seq.value_range();
   auto paper_t = [](int snapshot) { return 8 + 4 * snapshot; };
 

@@ -13,6 +13,7 @@
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
 #include "flowsim/datasets.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -26,7 +27,7 @@ int main() {
   cfg.num_steps = 25;
   cfg.split_step = 18;
   auto source = std::make_shared<TurbulentVortexSource>(cfg);
-  CachedSequence seq(source, 6, 256);
+  StreamedSequence seq(source);
 
   // 0.48 keeps the band above the background (0.12) and the distractor
   // blobs' bulk (peak 0.5) while giving the tracked masks enough spatial

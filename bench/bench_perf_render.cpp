@@ -24,6 +24,7 @@
 #include "flowsim/datasets.hpp"
 #include "parallel/thread_pool.hpp"
 #include "render/raycaster.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/determinism.hpp"
 #include "util/timer.hpp"
@@ -43,7 +44,7 @@ struct RenderFixture {
     cfg.dims = Dims{64, 64, 64};
     cfg.num_steps = 360;
     source = std::make_shared<ArgonBubbleSource>(cfg);
-    sequence = std::make_unique<CachedSequence>(source, 4, 256);
+    sequence = std::make_unique<StreamedSequence>(source);
     volume = source->generate(225);
 
     auto [vlo, vhi] = sequence->value_range();
@@ -414,7 +415,7 @@ int write_render_report(const char* path) {
   auto frame_source = std::make_shared<CallbackSource>(
       cfg.dims, 1, source.value_range(),
       [&volume](int) { return volume; });
-  CachedSequence sequence(frame_source, 1);
+  StreamedSequence sequence(frame_source);
   RenderSettings scalar_settings = shaded;
   scalar_settings.empty_space_skipping = false;
   const Raycaster skip_caster(shaded);

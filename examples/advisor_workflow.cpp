@@ -11,6 +11,7 @@
 #include "eval/metrics.hpp"
 #include "flowsim/datasets.hpp"
 #include "session/tf_session.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   auto source = std::make_shared<CallbackSource>(
       argon->dims(), last - first + 1, argon->value_range(),
       [argon, first](int step) { return argon->generate(first + step); });
-  CachedSequence sequence(source, 16);
+  StreamedSequence sequence(source);
   auto [vlo, vhi] = sequence.value_range();
 
   auto ring_tf = [&](int step) {

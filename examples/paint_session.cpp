@@ -11,6 +11,7 @@
 
 #include "flowsim/datasets.hpp"
 #include "session/session.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
   config.num_steps = 400;
   config.num_small_features = 80;
   auto source = std::make_shared<ReionizationSource>(config);
-  CachedSequence sequence(source, 4);
+  StreamedSequence sequence(source);
   PaintingSession session(sequence);
   const int t = 310;
 

@@ -14,6 +14,7 @@
 #include "flowsim/datasets.hpp"
 #include "io/image_io.hpp"
 #include "render/raycaster.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   config.dims = Dims{size, size, size};
   config.num_steps = 360;
   auto source = std::make_shared<ArgonBubbleSource>(config);
-  CachedSequence sequence(source, 6);
+  StreamedSequence sequence(source);
   std::cout << "data set: argon bubble, " << size << "^3 x "
             << sequence.num_steps() << " steps\n";
 

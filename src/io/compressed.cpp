@@ -287,8 +287,35 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
   if ((magic != kMagic && !v2) || !header || num_steps_ <= 0) {
     throw CorruptDataError("CompressedFileSource: bad header in " + path);
   }
+  // Header fields size every later allocation: a decoded step holds
+  // x*y*z floats, so each dim must be positive and the byte count must
+  // fit in size_t.
+  std::size_t step_bytes = sizeof(float);
+  for (int dim : {dims_.x, dims_.y, dims_.z}) {
+    if (dim <= 0 || __builtin_mul_overflow(step_bytes,
+                                           static_cast<std::size_t>(dim),
+                                           &step_bytes)) {
+      throw CorruptDataError("CompressedFileSource: bad dims " +
+                             std::to_string(dims_.x) + "x" +
+                             std::to_string(dims_.y) + "x" +
+                             std::to_string(dims_.z) + " in " + path);
+    }
+  }
   const std::size_t entry_bytes =
       v2 ? kIndexEntryBytesV2 : kIndexEntryBytesV1;
+  // The index must fit in the bytes that follow the header before it is
+  // allocated (tellg is -1 when the header line had no newline).
+  const std::streamoff index_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  if (index_start < 0 || file_end < index_start ||
+      static_cast<std::uint64_t>(num_steps_) >
+          static_cast<std::uint64_t>(file_end - index_start) / entry_bytes) {
+    throw CorruptDataError("CompressedFileSource: index of " +
+                           std::to_string(num_steps_) +
+                           " steps overruns " + path);
+  }
+  in.seekg(index_start);
   std::vector<std::uint8_t> raw(static_cast<std::size_t>(num_steps_) *
                                 entry_bytes);
   in.read(reinterpret_cast<char*>(raw.data()),

@@ -1,19 +1,21 @@
-// Out-of-core VolumeSequence: the drop-in streamed counterpart of
-// CachedSequence.
+// The VolumeSequence over a VolumeSource, fully resident or out of core.
 //
 // Every consumer of VolumeSequence (IATF synthesis, dataspace
 // classification, 4D region growing, rendering, the painting session)
-// works unchanged on a StreamedSequence; what changes is the residency
-// contract: decoded steps live in a byte-budgeted CacheManager, lookahead
-// decodes overlap compute via the Prefetcher, and derived products
-// (histograms, cumulative histograms) are memoized in a DerivedCache so an
-// evicted volume never has to come back just to answer a histogram query.
+// runs on a StreamedSequence. Decoded steps live in a byte-budgeted
+// CacheManager; the default unlimited budget keeps every loaded step
+// resident. Lookahead decodes overlap compute via the Prefetcher, and
+// derived products (histograms, cumulative histograms) are memoized in a
+// DerivedCache so an evicted volume never has to come back just to answer
+// a histogram query.
 //
 // Reference validity: step(t) auto-pins a window of `pin_radius` steps
 // around t (recentring only when t falls outside the current window, so
 // the {t-1, t, t+1} access pattern of 4D region growing never thrashes).
 // References returned for steps inside the window stay valid until the
 // window moves away from them; hint_window() sets the window explicitly.
+// Under the unlimited default budget nothing is evicted, so every step
+// reference stays valid for the sequence's lifetime.
 // Cumulative-histogram references are memoized and stay valid for the
 // sequence's lifetime.
 #pragma once

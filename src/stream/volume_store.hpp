@@ -129,8 +129,8 @@ class VolumeStore {
   std::uint64_t brick_metadata_reads() const IFET_EXCLUDES(mutex_);
   std::uint64_t brick_builds() const IFET_EXCLUDES(mutex_);
 
-  /// Total source loads (demand + prefetch); the out-of-core analogue of
-  /// CachedSequence::generation_count.
+  /// Total source loads (demand + prefetch); what
+  /// StreamedSequence::generation_count reports.
   std::size_t load_count() const IFET_EXCLUDES(mutex_);
 
   /// Combined snapshot: cache + prefetcher + robustness counters.

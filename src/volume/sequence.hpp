@@ -6,21 +6,19 @@
 // VolumeSequence is therefore an *interface*: consumers (IATF synthesis,
 // dataspace classification, 4D region growing, rendering) ask for steps and
 // per-step cumulative histograms without knowing whether the data is fully
-// resident, LRU-cached, or streamed from disk under a byte budget.
+// resident or streamed from disk under a byte budget.
 //
 // Implementations:
-//  * CachedSequence (this file)     — count-capped LRU over a VolumeSource;
-//    with capacity >= num_steps it is the trivial fully-resident path.
-//  * StreamedSequence (src/stream/) — out-of-core: byte-budgeted cache,
-//    async prefetch, windowed pinning, derived-product memoization.
+//  * StreamedSequence (src/stream/) — byte-budgeted cache, async prefetch,
+//    windowed pinning, derived-product memoization; an unlimited budget
+//    (the default) is the fully-resident path.
+//  * ClientSequenceView (src/server/) — one client's view of the
+//    multi-tenant server's shared stream tier.
 #pragma once
 
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 
-#include "util/thread_annotations.hpp"
 #include "volume/brick_index.hpp"
 #include "volume/histogram.hpp"
 #include "volume/volume.hpp"
@@ -79,8 +77,8 @@ class CallbackSource final : public VolumeSource {
 ///
 /// Reference validity: the VolumeF& returned by step() stays valid until a
 /// later access lets the implementation recycle the entry — for
-/// CachedSequence that is LRU eviction past the capacity, for
-/// StreamedSequence it is the pinned window sliding away. Callers that
+/// StreamedSequence under a byte budget that is the pinned window sliding
+/// away (with an unlimited budget nothing is recycled). Callers that
 /// interleave accesses to several steps (e.g. 4D region growing) declare
 /// the steps they hold with hint_window().
 class VolumeSequence {
@@ -136,67 +134,6 @@ class VolumeSequence {
   /// Advise that `step` will likely be needed soon; out-of-core
   /// implementations overlap its decode with the caller's compute.
   virtual void prefetch_hint(int step) const { (void)step; }
-};
-
-/// Count-capped LRU implementation of VolumeSequence, plus the trivial
-/// fully-resident path (capacity >= num_steps).
-///
-/// Thread safety: cache bookkeeping is internally synchronized, so
-/// concurrent step()/cumulative_histogram() calls are safe — but the
-/// returned references stay valid only until the entry is evicted. When
-/// reading from several threads (e.g. run_batch_render with a shared
-/// sequence), size `cache_capacity` to at least the number of concurrent
-/// readers, or have each worker generate() its own volume.
-class CachedSequence final : public VolumeSequence {
- public:
-  /// Keeps at most `cache_capacity` decoded steps in memory.
-  CachedSequence(std::shared_ptr<const VolumeSource> source,
-                 std::size_t cache_capacity = 4, int histogram_bins = 256);
-
-  Dims dims() const override { return source_->dims(); }
-  int num_steps() const override { return source_->num_steps(); }
-  std::pair<double, double> value_range() const override {
-    return source_->value_range();
-  }
-  int histogram_bins() const override { return histogram_bins_; }
-
-  const VolumeF& step(int step) const override;
-  const CumulativeHistogram& cumulative_histogram(int step) const override;
-  Histogram histogram(int step) const override;
-  /// Ingest metadata when the source carries it, else built from the
-  /// decoded step; memoized for the sequence lifetime (brick indices are
-  /// ~0.2% of a volume, so they are not subject to LRU eviction).
-  std::shared_ptr<const BrickIndex> brick_index(int step) const override
-      IFET_EXCLUDES(mutex_);
-  // Locked: generations_ is written by concurrent fetches; the old
-  // lock-free read here was a data race the thread-safety annotations
-  // refused to compile.
-  std::size_t generation_count() const override IFET_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return generations_;
-  }
-
- private:
-  struct Entry {
-    VolumeF volume;
-    std::unique_ptr<CumulativeHistogram> cumhist;
-  };
-
-  Entry& fetch(int step) const IFET_EXCLUDES(mutex_);
-
-  std::shared_ptr<const VolumeSource> source_;
-  std::size_t capacity_;
-  int histogram_bins_;
-  // Plain annotated Mutex (not rank-checked): fetch() deliberately runs
-  // source_->generate() under the lock — the documented serialize-
-  // generation contract of this legacy in-memory path — so it must stay
-  // out of the leaf-rank discipline the streaming classes follow.
-  mutable Mutex mutex_;
-  mutable std::list<int> lru_ IFET_GUARDED_BY(mutex_);  // front = recent
-  mutable std::unordered_map<int, Entry> cache_ IFET_GUARDED_BY(mutex_);
-  mutable std::unordered_map<int, std::shared_ptr<const BrickIndex>> bricks_
-      IFET_GUARDED_BY(mutex_);
-  mutable std::size_t generations_ IFET_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace ifet

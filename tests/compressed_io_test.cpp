@@ -9,6 +9,7 @@
 #include "io/checksum.hpp"
 #include "io/compressed.hpp"
 #include "io/volume_io.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/io_error.hpp"
@@ -137,12 +138,14 @@ TEST(CompressedSequence, PlugsIntoVolumeSequence) {
   write_compressed_sequence(source, path);
 
   auto disk_source = std::make_shared<CompressedFileSource>(path);
-  CachedSequence seq(disk_source, 2);  // streams with a 2-step window
+  // Demand loads only, so every decode is counted exactly.
+  StreamedSequence seq(disk_source, {.lookahead = 0, .pin_radius = 0,
+                                     .async_prefetch = false});
   EXPECT_NEAR(seq.step(5).at(3, 3, 3), 0.25f, 1e-2);
   EXPECT_NEAR(seq.step(0).at(3, 3, 3), 0.0f, 1e-2);
-  EXPECT_NEAR(seq.step(1).at(3, 3, 3), 0.05f, 1e-2);  // evicts step 5
-  EXPECT_NEAR(seq.step(5).at(3, 3, 3), 0.25f, 1e-2);  // re-decoded after LRU
-  EXPECT_EQ(seq.generation_count(), 4u);
+  EXPECT_NEAR(seq.step(1).at(3, 3, 3), 0.05f, 1e-2);
+  EXPECT_NEAR(seq.step(5).at(3, 3, 3), 0.25f, 1e-2);  // resident: no decode
+  EXPECT_EQ(seq.generation_count(), 3u);
   std::remove(path.c_str());
 }
 
@@ -373,7 +376,7 @@ TEST(BrickSection, BrickMetadataNeverDecodesPayloads) {
   write_compressed_sequence(source, path);
 
   auto disk_source = std::make_shared<CompressedFileSource>(path);
-  CachedSequence seq(disk_source, 2);
+  StreamedSequence seq(disk_source);
   const ChecksumCounters before = checksum_counters();
   const auto bricks = seq.brick_index(2);
   ASSERT_NE(bricks, nullptr);
@@ -430,6 +433,36 @@ TEST(PayloadChecksums, TruncationNamesTheMissingStep) {
         << e.what();
   }
   std::remove(path.c_str());
+}
+
+// Header fields are untrusted: each of these used to reach an allocation
+// (std::bad_alloc) or a later generic Error instead of a typed rejection.
+void expect_corrupt_header(const std::string& header, const char* what) {
+  const std::string path = "/tmp/ifet_cseq_bad_header.cvol";
+  dump(path, header);
+  try {
+    CompressedFileSource reader(path);
+    ADD_FAILURE() << "header must be rejected: " << header;
+  } catch (const CorruptDataError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(HeaderValidation, StepCountBeyondFileRejectedBeforeAllocating) {
+  // 37 bytes claiming a 64 GB index.
+  expect_corrupt_header("ifet-cseq2 16 16 16 2000000000 0 1 8\n", "overruns");
+}
+
+TEST(HeaderValidation, NonPositiveOrOverflowingDimsRejected) {
+  expect_corrupt_header(
+      "ifet-cseq2 -16 16 16 1 0 1 8\n" + std::string(32, '\1'), "bad dims");
+  expect_corrupt_header(
+      "ifet-cseq 16 0 16 1 0 1\n" + std::string(16, '\1'), "bad dims");
+  expect_corrupt_header("ifet-cseq 2000000000 2000000000 2000000000 1 0 1\n" +
+                            std::string(16, '\1'),
+                        "bad dims");
 }
 
 }  // namespace

@@ -116,34 +116,5 @@ TEST(ConcurrencyRegressionTest, FlatMlpCacheConcurrentGetPublishesOnce) {
   EXPECT_EQ(cache.rebuilds(), 1u);
 }
 
-// CachedSequence::generation_count() used to read the guarded counter
-// without the lock — a data race against concurrent fetches (the tsan
-// preset sees the unsynchronized read; here we pin the synchronized
-// count's correctness under contention).
-TEST(ConcurrencyRegressionTest, CachedSequenceGenerationCountSynchronized) {
-  constexpr int kSteps = 12;
-  auto source = std::make_shared<CallbackSource>(
-      kDims, kSteps, std::pair<double, double>{0.0, 1.0},
-      [](int step) { return step_volume(step); });
-  CachedSequence seq(source, /*cache_capacity=*/kSteps);
-
-  std::vector<std::thread> threads;
-  std::atomic<std::size_t> observed{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int s = 0; s < kSteps; ++s) {
-        (void)seq.step(s);
-        observed.fetch_add(seq.generation_count() > 0 ? 1 : 0);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(observed.load(), 4u * kSteps);
-  // Capacity covers every step, so each step was generated exactly once
-  // no matter how the threads interleaved.
-  EXPECT_EQ(seq.generation_count(), static_cast<std::size_t>(kSteps));
-}
-
 }  // namespace
 }  // namespace ifet

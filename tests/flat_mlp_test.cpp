@@ -24,6 +24,7 @@
 #include "nn/flat_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "parallel/thread_pool.hpp"
+#include "stream/streamed_sequence.hpp"
 #include "test_helpers.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/error.hpp"
@@ -430,7 +431,7 @@ TEST(ConsumerParity, IatfEvaluateMatchesScalarOpacity) {
       d, 6, std::pair<double, double>{0.0, 1.0}, [d](int step) {
         return testing::random_volume(d, 100 + static_cast<std::uint64_t>(step));
       });
-  CachedSequence seq(source, 3);
+  StreamedSequence seq(source);
   Iatf iatf(seq);
   TransferFunction1D key(0.0, 1.0);
   key.add_band(0.3, 0.6, 0.9, 0.05);

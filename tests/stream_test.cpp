@@ -291,7 +291,7 @@ TEST(DerivedCache, MemoizesPerStepAndParams) {
 
 TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
   auto source = blob_source(Dims{8, 8, 8}, 4);
-  CachedSequence sequence(source, 4);
+  StreamedSequence sequence(source);
   Iatf iatf(sequence);
   TransferFunction1D key(0.0, 1.0);
   key.add_band(0.5, 1.0, 0.9, 0.05);
@@ -308,7 +308,7 @@ TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
 
 TEST(Iatf, ParamsHashChangesWithTraining) {
   auto source = blob_source(Dims{8, 8, 8}, 4);
-  CachedSequence sequence(source, 4);
+  StreamedSequence sequence(source);
   Iatf iatf(sequence);
   TransferFunction1D key(0.0, 1.0);
   key.add_band(0.5, 1.0, 0.9, 0.05);
@@ -379,7 +379,8 @@ TEST(StreamedSequence, RejectsInvertedWindowHint) {
 }
 
 /// The acceptance bar: IATF, classification, and tracking produce
-/// bit-identical results with budget = unlimited and budget = 3 steps.
+/// bit-identical results on StreamedSequences with an unlimited budget and
+/// with a 3-step budget.
 class StreamedEquivalence : public ::testing::Test {
  protected:
   static constexpr int kSteps = 6;
@@ -387,16 +388,16 @@ class StreamedEquivalence : public ::testing::Test {
 
   void SetUp() override {
     source_ = blob_source(dims_, kSteps);
-    resident_ = std::make_unique<CachedSequence>(source_, kSteps);
+    unlimited_ = std::make_unique<StreamedSequence>(source_);
     StreamConfig cfg;
     cfg.budget_bytes = 3 * dims_.count() * sizeof(float);
     cfg.async_prefetch = false;
-    streamed_ = std::make_unique<StreamedSequence>(source_, cfg);
+    tight_ = std::make_unique<StreamedSequence>(source_, cfg);
   }
 
   std::shared_ptr<CallbackSource> source_;
-  std::unique_ptr<CachedSequence> resident_;
-  std::unique_ptr<StreamedSequence> streamed_;
+  std::unique_ptr<StreamedSequence> unlimited_;
+  std::unique_ptr<StreamedSequence> tight_;
 };
 
 TEST_F(StreamedEquivalence, IatfTransferFunctionsIdentical) {
@@ -409,8 +410,8 @@ TEST_F(StreamedEquivalence, IatfTransferFunctionsIdentical) {
     iatf.train(30);
     return iatf.evaluate(kSteps / 2);
   };
-  TransferFunction1D a = train(*resident_);
-  TransferFunction1D b = train(*streamed_);
+  TransferFunction1D a = train(*unlimited_);
+  TransferFunction1D b = train(*tight_);
   for (int e = 0; e < TransferFunction1D::kEntries; ++e) {
     ASSERT_EQ(a.opacity_entry(e), b.opacity_entry(e)) << "entry " << e;
   }
@@ -426,8 +427,8 @@ TEST_F(StreamedEquivalence, ClassifierCertaintyIdentical) {
     c.train(20);
     return c.classify(seq, 1);
   };
-  VolumeF a = classify(*resident_);
-  VolumeF b = classify(*streamed_);
+  VolumeF a = classify(*unlimited_);
+  VolumeF b = classify(*tight_);
   ASSERT_TRUE(a.dims() == b.dims());
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
 }
@@ -435,8 +436,8 @@ TEST_F(StreamedEquivalence, ClassifierCertaintyIdentical) {
 TEST_F(StreamedEquivalence, TrackingMasksIdentical) {
   FixedRangeCriterion criterion(0.5, 1.0);
   const Index3 seed{2, 4, 4};
-  TrackResult a = Tracker(*resident_, criterion).track(seed, 0);
-  TrackResult b = Tracker(*streamed_, criterion).track(seed, 0);
+  TrackResult a = Tracker(*unlimited_, criterion).track(seed, 0);
+  TrackResult b = Tracker(*tight_, criterion).track(seed, 0);
   ASSERT_FALSE(a.masks.empty());
   ASSERT_EQ(a.masks.size(), b.masks.size());
   for (const auto& [step, mask] : a.masks) {

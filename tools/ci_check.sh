@@ -2,6 +2,10 @@
 # One-command tier-1 verification (docs/CORRECTNESS.md):
 #   1. default preset: configure, build, full ctest (includes ifet_lint
 #      and the lint fixture regressions)
+#   1b. shape gates: every bench_fig*, bench_ablation_inputs,
+#      bench_ablation_training and bench_tracking_methods from the default
+#      build; each exits nonzero when its paper figure's claim fails
+#   1c. perfbench unit tests: the benchmark statistics helpers
 #   2. fault injection: the fault_injection_test binary, then an
 #      ifet_tool track over a fixture with injected faults under
 #      --fail-policy=skip, asserting retries happened and the run exits
@@ -77,6 +81,33 @@ stage_default() {
   cmake --preset default &&
     cmake --build --preset default -j "$JOBS" &&
     ctest --preset default -j "$JOBS"
+}
+
+stage_shape_gates() {
+  # The paper-figure benches are the behavioural oracle (EXPERIMENTS.md):
+  # each checks its figure's qualitative claim and exits nonzero when it
+  # fails. ctest does not run them, so a change that alters results is
+  # caught here. Outputs land in the build tree.
+  local bench_dir="$ROOT/build/bench"
+  local failed=0
+  local bench
+  for bench in "$bench_dir"/bench_fig* "$bench_dir/bench_ablation_inputs" \
+    "$bench_dir/bench_ablation_training" \
+    "$bench_dir/bench_tracking_methods"; do
+    echo "-- shape gate: $(basename "$bench")"
+    if ! (cd "$bench_dir" && "$bench"); then
+      echo "shape gate FAILED: $(basename "$bench")"
+      failed=1
+    fi
+  done
+  return "$failed"
+}
+
+stage_perfbench_tests() {
+  # Runs the benchmark's own unit tests in place; writes no bytecode, so
+  # the perfbench/ tree is left untouched.
+  PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s "$ROOT/perfbench" \
+    -p 'test_*.py'
 }
 
 stage_fault() {
@@ -191,6 +222,8 @@ stage_thread_safety() {
 }
 
 run_stage "default preset (build + ctest)" stage_default
+run_stage "shape gates (paper-figure benches)" stage_shape_gates
+run_stage "perfbench unit tests" stage_perfbench_tests
 run_stage "hot-path lint (callgraph pass + JSON artifact)" stage_hot_path_lint
 run_stage "determinism lint (det-* pass + JSON artifact)" stage_determinism_lint
 
