@@ -44,7 +44,10 @@ struct RenderFixture {
     cfg.dims = Dims{64, 64, 64};
     cfg.num_steps = 360;
     source = std::make_shared<ArgonBubbleSource>(cfg);
-    sequence = std::make_unique<StreamedSequence>(source);
+    // No lookahead: a background prefetch still decoding when a check
+    // starts would allocate under the process-wide AllocGuard counter.
+    sequence = std::make_unique<StreamedSequence>(
+        source, StreamConfig{.lookahead = 0, .async_prefetch = false});
     volume = source->generate(225);
 
     auto [vlo, vhi] = sequence->value_range();
@@ -288,8 +291,9 @@ int check_skip_equivalence() {
 /// Perturbed-replay check on the IFET_DETERMINISTIC render kernels
 /// (util/determinism.hpp): all three compositing variants (front-to-back
 /// shaded, tracking overlay, maximum intensity) must produce
-/// bitwise-identical frames across pool widths {1, 4, hardware}, cold and
-/// warm caches, and shuffled row-chunk submission through render_rows.
+/// bitwise-identical frames and RenderStats counters (samples, skipped,
+/// terminated early) across pool widths {1, 4, hardware}, cold and warm
+/// caches, and shuffled row-chunk submission through render_rows.
 int run_replay_check() {
   RenderFixture& f = fixture();
   Camera camera(0.5, 0.35, 2.4);
@@ -314,11 +318,16 @@ int run_replay_check() {
     DigestSink sink;
     for (const Variant& v : variants) {
       Raycaster caster(*v.settings);
-      // Pooled frame: the global pool splits rows differently at every
-      // width; the pixels must not notice.
+      // Pooled frame: the global pool hands out row chunks in a different
+      // order at every width; neither the pixels nor the counters summed
+      // across chunks may notice.
+      RenderStats stats;
       const ImageRgb8 pooled =
-          caster.render(f.volume, *f.tf, colors, camera, v.highlight);
+          caster.render(f.volume, *f.tf, colors, camera, v.highlight, &stats);
       sink.span(pooled.pixels.data(), pooled.pixels.size());
+      sink.pod(stats.samples);
+      sink.pod(stats.samples_skipped);
+      sink.pod(stats.terminated_early);
       // Row-kernel frame, chunks marched in a deterministic shuffle when
       // the trial asks for it: rows only write their own pixels, so the
       // visit order must be invisible.
@@ -339,6 +348,9 @@ int run_replay_check() {
         caster.render_rows(plan, lo, hi, direct, counters);
       }
       sink.span(direct.pixels.data(), direct.pixels.size());
+      sink.pod(counters.samples);
+      sink.pod(counters.samples_skipped);
+      sink.pod(counters.terminated_early);
     }
     return sink.value();
   });

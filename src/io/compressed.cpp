@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "io/checksum.hpp"
+#include "io/volume_io.hpp"
 #include "util/io_error.hpp"
 #include "volume/brick_index.hpp"
 
@@ -48,6 +49,14 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
   for (int b = 0; b < 4; ++b) v |= static_cast<std::uint32_t>(p[b]) << (8 * b);
   return v;
+}
+
+/// True when the byte range [offset, offset + size) neither overflows nor
+/// runs past `file_bytes`.
+bool within(std::uint64_t offset, std::uint64_t size,
+            std::uint64_t file_bytes) {
+  std::uint64_t end = 0;
+  return !__builtin_add_overflow(offset, size, &end) && end <= file_bytes;
 }
 
 }  // namespace
@@ -288,19 +297,8 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
     throw CorruptDataError("CompressedFileSource: bad header in " + path);
   }
   // Header fields size every later allocation: a decoded step holds
-  // x*y*z floats, so each dim must be positive and the byte count must
-  // fit in size_t.
-  std::size_t step_bytes = sizeof(float);
-  for (int dim : {dims_.x, dims_.y, dims_.z}) {
-    if (dim <= 0 || __builtin_mul_overflow(step_bytes,
-                                           static_cast<std::size_t>(dim),
-                                           &step_bytes)) {
-      throw CorruptDataError("CompressedFileSource: bad dims " +
-                             std::to_string(dims_.x) + "x" +
-                             std::to_string(dims_.y) + "x" +
-                             std::to_string(dims_.z) + " in " + path);
-    }
-  }
+  // x*y*z floats.
+  (void)checked_volume_bytes(dims_, "CompressedFileSource", path);
   const std::size_t entry_bytes =
       v2 ? kIndexEntryBytesV2 : kIndexEntryBytesV1;
   // The index must fit in the bytes that follow the header before it is
@@ -324,6 +322,7 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
     throw CorruptDataError("CompressedFileSource: truncated index in " +
                            path);
   }
+  const auto file_bytes = static_cast<std::uint64_t>(file_end);
   index_.resize(static_cast<std::size_t>(num_steps_));
   for (int s = 0; s < num_steps_; ++s) {
     IndexEntry& entry = index_[static_cast<std::size_t>(s)];
@@ -342,6 +341,14 @@ CompressedFileSource::CompressedFileSource(const std::string& path)
           "CompressedFileSource: " + path + " truncates at step " +
           std::to_string(s) +
           " (writer closed before all steps were appended)");
+    }
+    // generate and brick_metadata allocate entry.size / entry.brick_size
+    // bytes, so each record must lie inside the file (v1 entries carry an
+    // empty brick record at offset 0).
+    if (!within(entry.offset, entry.size, file_bytes) ||
+        !within(entry.brick_offset, entry.brick_size, file_bytes)) {
+      throw CorruptDataError("CompressedFileSource: index entry for step " +
+                             std::to_string(s) + " overruns " + path);
     }
   }
 }

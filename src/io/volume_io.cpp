@@ -1,7 +1,9 @@
 #include "io/volume_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "io/checksum.hpp"
 #include "util/io_error.hpp"
@@ -78,10 +80,21 @@ VolumeF read_vol(const std::string& path) {
     }
     has_crc = true;
   }
+  // The payload must fit in the bytes left in the file before it is
+  // allocated (tellg is -1 when the header line had no newline).
+  const std::size_t bytes = checked_volume_bytes(dims, "read_vol", path);
+  const std::streamoff payload_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  if (payload_start < 0 || file_end < payload_start ||
+      static_cast<std::uint64_t>(file_end - payload_start) < bytes) {
+    throw CorruptDataError("read_vol: truncated payload in " + path);
+  }
+  in.seekg(payload_start);
   VolumeF volume(dims);
   in.read(reinterpret_cast<char*>(volume.data().data()),
-          static_cast<std::streamsize>(payload_bytes(volume)));
-  if (in.gcount() != static_cast<std::streamsize>(payload_bytes(volume))) {
+          static_cast<std::streamsize>(bytes));
+  if (in.gcount() != static_cast<std::streamsize>(bytes)) {
     throw CorruptDataError("read_vol: truncated payload in " + path);
   }
   if (!has_crc) {
@@ -95,6 +108,20 @@ VolumeF read_vol(const std::string& path) {
   }
   ++checksum_counters().verified;
   return volume;
+}
+
+std::size_t checked_volume_bytes(Dims dims, const std::string& who,
+                                 const std::string& path) {
+  std::size_t bytes = sizeof(float);
+  for (int dim : {dims.x, dims.y, dims.z}) {
+    if (dim <= 0 || __builtin_mul_overflow(
+                        bytes, static_cast<std::size_t>(dim), &bytes)) {
+      throw CorruptDataError(who + ": bad dims " + std::to_string(dims.x) +
+                             "x" + std::to_string(dims.y) + "x" +
+                             std::to_string(dims.z) + " in " + path);
+    }
+  }
+  return bytes;
 }
 
 }  // namespace ifet

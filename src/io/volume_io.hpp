@@ -36,6 +36,14 @@ void write_vol(const VolumeF& volume, const std::string& path,
                bool with_checksum = true);
 
 /// Read self-describing .vol file (verifying the checksum when present).
+/// Header dims are checked before the payload is allocated.
 VolumeF read_vol(const std::string& path);
+
+/// Float32 byte count of a volume with header-supplied `dims`. Throws
+/// CorruptDataError ("<who>: bad dims ... in <path>") when a dim is not
+/// positive or the count overflows size_t, so no allocation is ever sized
+/// by an unchecked header field.
+std::size_t checked_volume_bytes(Dims dims, const std::string& who,
+                                 const std::string& path);
 
 }  // namespace ifet

@@ -16,6 +16,13 @@ namespace ifet {
 
 namespace {
 
+/// Rows per work item of a frame's dynamic schedule. A volume projects onto
+/// the middle of the image, so equal static bands leave the outer workers
+/// idle while the middle band marches most of the samples; small chunks
+/// taken from a shared counter keep every worker busy to the end of the
+/// frame. Chosen from a 1..32-row sweep at 512^2 (docs/PERFORMANCE.md).
+constexpr std::size_t kRowsPerChunk = 4;
+
 /// World-space box of a volume: largest axis spans [-0.5, 0.5].
 struct WorldBox {
   Vec3 lo, hi;
@@ -451,8 +458,8 @@ ImageRgb8 Raycaster::render_impl(const VolumeF& volume,
   std::atomic<std::size_t> early{0};
   std::atomic<std::size_t> skipped{0};
 
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(settings_.height),
+  ThreadPool::global().parallel_for_dynamic(
+      0, static_cast<std::size_t>(settings_.height), kRowsPerChunk,
       [&](std::size_t row0, std::size_t row1) {
         RenderRowCounters counters;
         render_rows(plan, static_cast<int>(row0), static_cast<int>(row1),

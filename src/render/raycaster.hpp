@@ -184,8 +184,10 @@ class Raycaster {
 
   /// March rays for image rows [row0, row1) of a validated plan. The hot
   /// ray loop: no validation, no allocation, no I/O once the plan and the
-  /// destination image exist. render() dispatches this across the thread
-  /// pool; benches call it directly to prove the zero-allocation contract.
+  /// destination image exist. Every render entry point hands it small row
+  /// chunks taken from a shared counter (ThreadPool::parallel_for_dynamic),
+  /// so the costly rows the volume projects onto spread over all workers;
+  /// benches call it directly to prove the zero-allocation contract.
   void render_rows(const Plan& plan, int row0, int row1, ImageRgb8& image,
                    RenderRowCounters& counters) const;
 

@@ -465,5 +465,80 @@ TEST(HeaderValidation, NonPositiveOrOverflowingDimsRejected) {
                         "bad dims");
 }
 
+// Index entries are untrusted too: generate and brick_metadata allocate
+// the sizes they name, so an entry must be rejected at open when its
+// record overflows or runs past the end of the file.
+void expect_corrupt_index_entry(std::size_t field, std::uint64_t value) {
+  const std::string path = "/tmp/ifet_cseq_bad_entry.cvol";
+  const Dims d{8, 8, 8};
+  CallbackSource source(d, 1, {0.0, 1.0}, [d](int step) {
+    return testing::random_volume(d, 500 + static_cast<unsigned>(step));
+  });
+  write_compressed_sequence(source, path);
+  std::string bytes = slurp(path);
+  // The 32-byte v2 entry follows the header line: payload offset, payload
+  // size, brick offset, brick size, each a little-endian u64.
+  const std::size_t entry = bytes.find('\n') + 1;
+  for (int b = 0; b < 8; ++b) {
+    bytes[entry + 8 * field + static_cast<std::size_t>(b)] =
+        static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+  dump(path, bytes);
+  try {
+    CompressedFileSource reader(path);
+    ADD_FAILURE() << "entry field " << field << " = " << value
+                  << " must be rejected";
+  } catch (const CorruptDataError& e) {
+    EXPECT_NE(std::string(e.what()).find("index entry for step 0 overruns"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(HeaderValidation, IndexEntryPastFileEndRejectedBeforeAllocating) {
+  expect_corrupt_index_entry(1, std::uint64_t{1} << 40);  // payload size
+  expect_corrupt_index_entry(3, std::uint64_t{1} << 40);  // brick size
+  expect_corrupt_index_entry(0, std::uint64_t{1} << 40);  // payload offset
+}
+
+TEST(HeaderValidation, IndexEntryOffsetPlusSizeOverflowRejected) {
+  expect_corrupt_index_entry(0, ~std::uint64_t{0});  // payload offset
+  expect_corrupt_index_entry(2, ~std::uint64_t{0});  // brick offset
+}
+
+// A .vol header sizes the payload read_vol allocates.
+void expect_corrupt_vol(const std::string& bytes, const char* what) {
+  const std::string path = "/tmp/ifet_vol_bad_header.vol";
+  dump(path, bytes);
+  try {
+    (void)read_vol(path);
+    ADD_FAILURE() << "vol must be rejected: " << bytes.substr(0, 40);
+  } catch (const CorruptDataError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(HeaderValidation, VolNonPositiveOrOverflowingDimsRejected) {
+  expect_corrupt_vol("ifet-vol -4 4 4\n" + std::string(256, '\0'),
+                     "bad dims");
+  expect_corrupt_vol("ifet-vol 4 0 4\n", "bad dims");
+  expect_corrupt_vol(
+      "ifet-vol 2000000000 2000000000 2000000000\n" + std::string(16, '\0'),
+      "bad dims");
+}
+
+TEST(HeaderValidation, VolPayloadBeyondFileRejectedBeforeAllocating) {
+  // 4 PB of floats claimed by a 42-byte file.
+  expect_corrupt_vol("ifet-vol 100000 100000 100000\n" +
+                         std::string(12, '\0'),
+                     "truncated payload");
+  // One float short of a 2x2x2 volume.
+  expect_corrupt_vol("ifet-vol 2 2 2\n" + std::string(7 * sizeof(float), '\0'),
+                     "truncated payload");
+}
+
 }  // namespace
 }  // namespace ifet

@@ -25,9 +25,11 @@
 #      steady-state checks (FlatMlp forward_batch, Raycaster row kernel,
 #      CacheManager hit path) in their fast check-only modes, the
 #      render-equivalence smoke (brick empty-space skipping vs the scalar
-#      march, bitwise, all compositing variants), one ReplayCheck smoke
-#      (bench_perf_classify --replay-check-only: FlatMlp classify digests
-#      across perturbed thread counts), and the bench_perf_server --smoke
+#      march, bitwise, all compositing variants), two ReplayCheck smokes
+#      (bench_perf_classify --replay-check-only: FlatMlp classify digests,
+#      and bench_perf_render --replay-check-only: frames and RenderStats
+#      counters of the dynamic row schedule, both across perturbed thread
+#      counts), and the bench_perf_server --smoke
 #      load generator (deterministic small fleet, bitwise-equivalence
 #      gate) under TSan
 #   5b. overload harness: bench_perf_server --overload --smoke under TSan
@@ -175,7 +177,9 @@ stage_tsan() {
   # run also races the guard's atomics against the thread pool. The
   # render-equivalence smoke (--equiv-check-only) memcmps the brick
   # empty-space-skipping path against the scalar march across all three
-  # compositing variants, with the row pool racing under TSan. The
+  # compositing variants, with the row pool racing under TSan; the render
+  # replay (--replay-check-only) digests pixels and RenderStats counters
+  # of the dynamic row-chunk schedule at pool widths {1, 4, hw}. The
   # multi-tenant server rides along twice: its dedicated stress storm and
   # the deterministic bench_perf_server load generator in --smoke mode
   # (small fleet, bitwise tight-vs-infinite-budget equivalence gate).
@@ -191,6 +195,7 @@ stage_tsan() {
     "$ROOT/build-tsan/bench/bench_perf_classify" --replay-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_render" --render-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_render" --equiv-check-only &&
+    "$ROOT/build-tsan/bench/bench_perf_render" --replay-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_stream" &&
     (cd "$ROOT/build-tsan/bench" && ./bench_perf_server --smoke)
 }
