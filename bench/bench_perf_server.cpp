@@ -197,6 +197,50 @@ void submit_from(LoadGen& gen, ClientRun& run, std::size_t index) {
       });
 }
 
+/// One client alone running `script` serially with no faults and an
+/// unlimited budget: the reference every loaded run must match bitwise.
+struct SerialReference {
+  bool ok = true;       ///< Every reference command succeeded.
+  bool runs_ok = true;  ///< Every command of every run succeeded.
+  bool bitwise = true;  ///< Every run matched the reference exactly.
+  std::vector<double> latency_ms;  ///< Reference service time per command.
+};
+
+/// Runs the serial reference and compares `runs` (anything with `id` and
+/// `results`) with it command by command, printing each failed run
+/// command and each mismatch.
+template <typename Run>
+SerialReference compare_with_serial_reference(
+    Dims dims, int steps, const std::vector<Command>& script,
+    const std::vector<std::unique_ptr<Run>>& runs) {
+  SerialReference out;
+  out.latency_ms.assign(script.size(), 0.0);
+  SessionManagerConfig iso;  // budget 0 = fully resident, no overload
+  SessionManager manager(blob_source(dims, steps), iso);
+  const int id = manager.create_session();
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    Stopwatch cmd_watch;
+    const ServerResult reference = manager.execute(id, script[i]);
+    out.latency_ms[i] = cmd_watch.milliseconds();
+    if (!reference.ok) out.ok = false;
+    for (const auto& run : runs) {
+      const ServerResult& result = run->results[i];
+      if (!result.ok) {
+        std::cout << "  client " << run->id << " command " << i
+                  << " failed: " << result.error << "\n";
+        out.runs_ok = false;
+      }
+      if (result.ok != reference.ok || result.digest != reference.digest ||
+          result.value != reference.value) {
+        std::cout << "  mismatch: client " << run->id << " command " << i
+                  << "\n";
+        out.bitwise = false;
+      }
+    }
+  }
+  return out;
+}
+
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
@@ -425,33 +469,11 @@ int run_overload(int clients, Dims dims, int steps) {
   // --- Unloaded serial reference (no faults, unlimited budget): the
   // surviving script results must match it bitwise — shedding and
   // pressure shape latency and residency, never data.
-  bool script_ok = true;
-  bool bitwise = true;
-  {
-    SessionManagerConfig iso;  // budget 0 = fully resident, no overload
-    SessionManager manager(blob_source(dims, steps), iso);
-    const int id = manager.create_session();
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      const ServerResult reference = manager.execute(id, script[i]);
-      if (!reference.ok) script_ok = false;
-      for (const auto& run : runs) {
-        if (!run->results[i].ok) {
-          std::cout << "  client " << run->id << " command " << i
-                    << " failed: " << run->results[i].error << "\n";
-          script_ok = false;
-        }
-        if (run->results[i].ok != reference.ok ||
-            run->results[i].digest != reference.digest ||
-            run->results[i].value != reference.value) {
-          std::cout << "  mismatch: client " << run->id << " command " << i
-                    << "\n";
-          bitwise = false;
-        }
-      }
-    }
-  }
-  check.expect(script_ok, "every script command succeeds despite the flood");
-  check.expect(bitwise,
+  const SerialReference reference =
+      compare_with_serial_reference(dims, steps, script, runs);
+  check.expect(reference.ok && reference.runs_ok,
+               "every script command succeeds despite the flood");
+  check.expect(reference.bitwise,
                "script results under overload are bitwise identical to the "
                "unloaded serial reference");
 
@@ -589,8 +611,8 @@ int run_overload(int clients, Dims dims, int steps) {
        << "  \"script_p99_ms\": " << script_p99 << ",\n"
        << "  \"spam_p50_ms\": " << spam_p50 << ",\n"
        << "  \"spam_p99_ms\": " << spam_p99 << ",\n"
-       << "  \"bitwise_identical\": " << (bitwise ? "true" : "false")
-       << ",\n"
+       << "  \"bitwise_identical\": "
+       << (reference.bitwise ? "true" : "false") << ",\n"
        << "  \"per_client\": [\n";
   for (std::size_t k = 0; k < by_id.size(); ++k) {
     const std::size_t c = by_id[k];
@@ -712,50 +734,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool all_ok = true;
-  std::vector<double> latencies;
-  for (const auto& run : runs) {
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      if (!run->results[i].ok) {
-        std::cout << "  client " << run->id << " command " << i
-                  << " failed: " << run->results[i].error << "\n";
-        all_ok = false;
-      }
-      latencies.push_back(run->latency_ms[i]);
-    }
-  }
-  check.expect(all_ok, "every command succeeds on every concurrent client");
-
   // --- Isolated reference: the same script, one client alone, unlimited
   // budget, serial execute(). Every concurrent client must match it
   // bitwise (they all ran the identical script).
-  bool bitwise = true;
-  std::vector<double> iso_latency_ms(script.size(), 0.0);
-  {
-    SessionManagerConfig iso_config;  // budget 0 = fully resident
-    SessionManager manager(blob_source(dims, steps), iso_config);
-    const int id = manager.create_session();
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      Stopwatch cmd_watch;
-      const ServerResult reference = manager.execute(id, script[i]);
-      iso_latency_ms[i] = cmd_watch.milliseconds();
-      if (!reference.ok) bitwise = false;
-      for (const auto& run : runs) {
-        if (run->results[i].ok != reference.ok ||
-            run->results[i].digest != reference.digest ||
-            run->results[i].value != reference.value) {
-          std::cout << "  mismatch: client " << run->id << " command " << i
-                    << "\n";
-          bitwise = false;
-        }
-      }
-    }
-  }
+  const SerialReference reference =
+      compare_with_serial_reference(dims, steps, script, runs);
+  check.expect(reference.runs_ok,
+               "every command succeeds on every concurrent client");
+  const std::vector<double>& iso_latency_ms = reference.latency_ms;
+  const bool bitwise = reference.ok && reference.bitwise;
   check.expect(bitwise,
                "concurrent tight-budget results are bitwise identical to "
                "the isolated unlimited-budget reference");
 
   // --- Metrics.
+  std::vector<double> latencies;
+  for (const auto& run : runs) {
+    latencies.insert(latencies.end(), run->latency_ms.begin(),
+                     run->latency_ms.end());
+  }
   const double p50 = percentile(latencies, 0.50);
   const double p99 = percentile(latencies, 0.99);
   const double iso_p50 = percentile(iso_latency_ms, 0.50);

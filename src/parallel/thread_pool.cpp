@@ -67,10 +67,11 @@ void ThreadPool::run_tasks(std::vector<std::function<void()>> tasks) {
           std::lock_guard<std::mutex> elock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        // Count down under done_mutex: the caller returns, destroying
+        // done_mutex and done_cv, as soon as it sees zero, so the last
+        // task must be done with both before the caller can look.
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (remaining.fetch_sub(1) == 1) done_cv.notify_all();
       }});
     }
   }

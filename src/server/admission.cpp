@@ -98,7 +98,11 @@ WindowDelta AdmissionController::set_window(int client, int lo, int hi,
                                             int center) {
   lo = std::max(lo, 0);
   hi = std::min(hi, num_steps_ - 1);
-  center = std::clamp(center, lo, hi);
+  // A window wholly outside the sequence admits nothing (as in
+  // VolumeStore::pin_window): the delta only unpins the previous window,
+  // and no window is remembered for rescales or the pin demand.
+  const bool empty = lo > hi;
+  if (!empty) center = std::clamp(center, lo, hi);
 
   // Nearest-center first: the current step must be the last pin the quota
   // ever refuses (deterministic order, deterministic admitted set).
@@ -117,7 +121,7 @@ WindowDelta AdmissionController::set_window(int client, int lo, int hi,
   std::set_difference(c.admitted.begin(), c.admitted.end(), admitted.begin(),
                       admitted.end(), std::back_inserter(delta.unpin));
   c.admitted = std::move(admitted);
-  c.has_window = true;
+  c.has_window = !empty;
   c.window_lo = lo;
   c.window_hi = hi;
   c.window_center = center;

@@ -74,10 +74,11 @@ class AdmissionController {
   /// caller can unpin them.
   std::vector<int> release_client(int client) IFET_EXCLUDES(mutex_);
 
-  /// Replace `client`'s window with [lo, hi], admitting steps nearest
-  /// `center` first (ties: the earlier step) until the quota is spent.
-  /// Returns the pin/unpin delta against the client's previous admitted
-  /// set; `denied` lists the window steps the quota refused.
+  /// Replace `client`'s window with [lo, hi] (clamped to the sequence),
+  /// admitting steps nearest `center` first (ties: the earlier step)
+  /// until the quota is spent. Returns the pin/unpin delta against the
+  /// client's previous admitted set; `denied` lists the window steps the
+  /// quota refused. A window that clamps to nothing admits nothing.
   WindowDelta set_window(int client, int lo, int hi, int center)
       IFET_EXCLUDES(mutex_);
 

@@ -1,20 +1,16 @@
 #include "server/client_view.hpp"
 
-#include <algorithm>
-#include <string>
-
-#include "util/error.hpp"
-#include "util/io_error.hpp"
-
 namespace ifet {
 
-ClientSequenceView::ClientSequenceView(StreamTier& tier,
-                                       const ClientViewConfig& config)
-    : tier_(tier), config_(config) {
-  IFET_REQUIRE(config_.pin_radius >= 0,
-               "ClientSequenceView: pin_radius must be >= 0");
-  client_ = tier_.admission().register_client();
-}
+ClientSequenceView::ClientSequenceView(StreamTier& tier, int pin_radius,
+                                       FailPolicy fail_policy)
+    : StreamedSequence(tier.store(), tier.derived(),
+                       {.pin_radius = pin_radius,
+                        .histogram_bins = tier.histogram_bins(),
+                        .fail_policy = fail_policy},
+                       &stats_),
+      tier_(tier),
+      client_(tier.admission().register_client()) {}
 
 ClientSequenceView::~ClientSequenceView() {
   // Give back everything this client pinned; the counted cache pins
@@ -24,74 +20,10 @@ ClientSequenceView::~ClientSequenceView() {
   for (int s : unpin) cache.unpin(s);
 }
 
-std::shared_ptr<const VolumeF> ClientSequenceView::fetch_with_policy(
-    int step) const {
-  auto volume = tier_.store().fetch(step);  // tier policy: skip => nullptr
-  if (volume) return volume;
-  switch (config_.fail_policy) {
-    case FailPolicy::kThrow:
-      throw CorruptDataError(
-          "ClientSequenceView: step " + std::to_string(step) +
-          " is quarantined (this client's fail policy is kThrow)");
-    case FailPolicy::kSkipStep:
-      stats_.count_skipped_fetch();
-      tier_.aggregate().count_skipped_fetch();
-      return nullptr;
-    case FailPolicy::kNearestGood:
-      break;
-  }
-  // kNearestGood: widen outward until a neighbour answers.
-  for (int d = 1; d < num_steps(); ++d) {
-    const int candidates[2] = {step - d, step + d};
-    for (int candidate : candidates) {
-      if (candidate < 0 || candidate >= num_steps()) continue;
-      auto neighbour = tier_.store().fetch(candidate);
-      if (neighbour) {
-        stats_.count_substitution();
-        tier_.aggregate().count_substitution();
-        return neighbour;
-      }
-    }
-  }
-  throw CorruptDataError("ClientSequenceView: no loadable step near " +
-                         std::to_string(step));
-}
-
-std::shared_ptr<const VolumeF> ClientSequenceView::fetch_or_substitute(
-    int step) const {
-  auto volume = tier_.store().fetch(step);
-  if (volume) return volume;
-  for (int d = 1; d < num_steps(); ++d) {
-    const int candidates[2] = {step - d, step + d};
-    for (int candidate : candidates) {
-      if (candidate < 0 || candidate >= num_steps()) continue;
-      auto neighbour = tier_.store().fetch(candidate);
-      if (neighbour) return neighbour;
-    }
-  }
-  throw CorruptDataError("ClientSequenceView: no loadable step near " +
-                         std::to_string(step));
-}
-
-std::pair<int, int> ClientSequenceView::set_window_locked(
-    int lo, int hi,
-    std::vector<std::shared_ptr<const VolumeF>>& dropped) const {
-  lo = std::max(lo, 0);
-  hi = std::min(hi, num_steps() - 1);
-  window_lo_ = lo;
-  window_hi_ = hi;
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (it->first < lo || it->first > hi) {
-      dropped.push_back(std::move(it->second));
-      it = held_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return {lo, hi};
-}
-
 void ClientSequenceView::apply_window(int lo, int hi, int center) const {
+  // Admission is a leaf lock and cache pins trigger loads, so both run
+  // with the sequence mutex released (StreamedSequence calls this hook
+  // after unlocking).
   WindowDelta delta = tier_.admission().set_window(client_, lo, hi, center);
   CacheManager& cache = tier_.store().cache();
   for (int s : delta.unpin) cache.unpin(s);
@@ -103,101 +35,13 @@ void ClientSequenceView::apply_window(int lo, int hi, int center) const {
   }
 }
 
-const VolumeF& ClientSequenceView::step(int step) const {
-  const VolumeF* volume = try_step(step);
-  if (volume == nullptr) {
-    throw CorruptDataError(
-        "ClientSequenceView: step " + std::to_string(step) +
-        " is quarantined and this client's fail policy skips it (consumers "
-        "that can bridge gaps use try_step)");
-  }
-  return *volume;
-}
-
-const VolumeF* ClientSequenceView::try_step(int step) const {
-  IFET_REQUIRE(step >= 0 && step < num_steps(),
-               "ClientSequenceView: step out of range");
-  // Attribution first: residency is probed without stat side effects so a
-  // fetch never double-counts in the shared cache's own counters. The
-  // probe can race an eviction — it feeds stats, not correctness.
+void ClientSequenceView::on_access(int step) const {
+  // Residency is probed without stat side effects so a fetch never
+  // double-counts in the shared cache's own counters. The probe can race
+  // an eviction — it feeds stats, not correctness.
   const bool resident = tier_.store().cache().resident(step);
   stats_.count_access(resident);
-  tier_.aggregate().count_access(resident);
   tier_.admission().note_access(client_, step, resident);
-
-  auto volume = fetch_with_policy(step);
-  if (!volume) return nullptr;  // this client's policy is kSkipStep
-
-  bool moved = false;
-  std::pair<int, int> window{0, -1};
-  const VolumeF* ref = nullptr;
-  std::vector<std::shared_ptr<const VolumeF>> dropped;
-  {
-    OrderedMutexLock lock(mutex_);
-    if (step < window_lo_ || step > window_hi_) {
-      window = set_window_locked(step - config_.pin_radius,
-                                 step + config_.pin_radius, dropped);
-      moved = true;
-    }
-    auto& slot = held_[step];
-    slot = std::move(volume);
-    ref = slot.get();
-  }
-  // Admission + pinning run with mutex_ released: both are call-outs
-  // (admission is a leaf lock, cache pins trigger loads). held_ keeps the
-  // returned reference alive whatever order racing window moves land in.
-  if (moved) apply_window(window.first, window.second, step);
-  return ref;
-}
-
-const CumulativeHistogram& ClientSequenceView::cumulative_histogram(
-    int step) const {
-  IFET_REQUIRE(step >= 0 && step < num_steps(),
-               "ClientSequenceView: step out of range");
-  {
-    OrderedMutexLock lock(mutex_);
-    auto it = cumhists_.find(step);
-    if (it != cumhists_.end()) return *it->second;
-  }
-  auto [lo, hi] = tier_.value_range();
-  auto cumhist = tier_.derived().cumulative_histogram(
-      step, tier_.hist_params(),
-      [&]() -> CumulativeHistogram {
-        auto volume = fetch_or_substitute(step);
-        return CumulativeHistogram(
-            Histogram::of(*volume, tier_.histogram_bins(), lo, hi));
-      },
-      &stats_);
-  OrderedMutexLock lock(mutex_);
-  auto [it, inserted] = cumhists_.emplace(step, std::move(cumhist));
-  (void)inserted;  // a racing caller may have memoized the same entry
-  return *it->second;
-}
-
-Histogram ClientSequenceView::histogram(int step) const {
-  IFET_REQUIRE(step >= 0 && step < num_steps(),
-               "ClientSequenceView: step out of range");
-  auto [lo, hi] = tier_.value_range();
-  auto hist = tier_.derived().histogram(
-      step, tier_.hist_params(),
-      [&]() -> Histogram {
-        auto volume = fetch_or_substitute(step);
-        return Histogram::of(*volume, tier_.histogram_bins(), lo, hi);
-      },
-      &stats_);
-  return *hist;
-}
-
-void ClientSequenceView::hint_window(int lo, int hi) const {
-  IFET_REQUIRE(lo <= hi, "ClientSequenceView::hint_window: inverted window");
-  std::pair<int, int> window;
-  std::vector<std::shared_ptr<const VolumeF>> dropped;
-  {
-    OrderedMutexLock lock(mutex_);
-    window = set_window_locked(lo, hi, dropped);
-  }
-  apply_window(window.first, window.second,
-               window.first + (window.second - window.first) / 2);
 }
 
 }  // namespace ifet

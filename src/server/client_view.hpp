@@ -1,119 +1,54 @@
 // Per-client VolumeSequence view over the shared StreamTier.
 //
 // Every client session of the multi-tenant server reads the sequence
-// through its own ClientSequenceView: the view keeps the client's pinned
-// window ({t-1, t, t+1} recentred as the client scans), applies the
-// client's OWN FailPolicy over the tier's policy-free store, and
-// attributes accesses to the client's SharedStreamStats and admission
-// ledger. The existing single-tenant pipelines (PaintingSession,
-// TfSession, Tracker, the renderer) run unchanged on top — a view IS a
-// VolumeSequence.
+// through its own ClientSequenceView: a StreamedSequence over the tier's
+// shared store and DerivedCache, so the window, held references, the
+// client's OWN FailPolicy (over the tier's kSkipStep store) and the
+// histogram paths are StreamedSequence's. The existing single-tenant
+// pipelines (PaintingSession, TfSession, Tracker, the renderer) run
+// unchanged on top — a view IS a VolumeSequence.
 //
-// Window pins go through the AdmissionController, so a client whose
-// window exceeds its pin quota gets the excess steps admitted-denied:
-// they still load and still return exact bytes, they are just evictable.
-// Residency is per-client shaped; data never is.
-//
-// Reference validity matches StreamedSequence: step() references stay
-// valid while the step is inside the client's window (held_ keeps the
-// shared_ptr), cumulative-histogram references for the view's lifetime
-// (the view memoizes the shared_ptr from the tier's DerivedCache, so even
-// a cache invalidation cannot dangle them).
+// The view adds two things. Window pins go through the
+// AdmissionController, so a client whose window exceeds its pin quota
+// gets the excess steps admitted-denied: they still load and still return
+// exact bytes, they are just evictable. Residency is per-client shaped;
+// data never is. And every access is attributed to the client's
+// SharedStreamStats and admission ledger.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <utility>
-#include <vector>
-
 #include "server/stream_tier.hpp"
-#include "stream/step_health.hpp"
-#include "util/ordered_mutex.hpp"
-#include "volume/sequence.hpp"
+#include "stream/streamed_sequence.hpp"
 
 namespace ifet {
 
-struct ClientViewConfig {
-  /// Auto-pinned window half-width around the last accessed step.
-  int pin_radius = 1;
-  /// This client's policy for quarantined steps — independent of every
-  /// other client's (the tier store is policy-free; see stream_tier.hpp).
-  FailPolicy fail_policy = FailPolicy::kThrow;
-};
-
-class ClientSequenceView final : public VolumeSequence {
+class ClientSequenceView final : public StreamedSequence {
  public:
-  ClientSequenceView(StreamTier& tier, const ClientViewConfig& config = {});
+  /// `pin_radius` is the auto-pinned window half-width around the last
+  /// accessed step; `fail_policy` is this client's policy for quarantined
+  /// steps, independent of every other client's.
+  explicit ClientSequenceView(StreamTier& tier, int pin_radius = 1,
+                              FailPolicy fail_policy = FailPolicy::kThrow);
   /// Unpins the client's window and retires its admission ledger.
   ~ClientSequenceView() override;
 
-  Dims dims() const override { return tier_.dims(); }
-  int num_steps() const override { return tier_.num_steps(); }
-  std::pair<double, double> value_range() const override {
-    return tier_.value_range();
-  }
-  int histogram_bins() const override { return tier_.histogram_bins(); }
-
-  const VolumeF& step(int step) const override IFET_EXCLUDES(mutex_);
-  /// nullptr for a quarantined step under this CLIENT's kSkipStep policy;
-  /// under kNearestGood the substitute is returned, under kThrow the
-  /// original failure surfaces as CorruptDataError.
-  const VolumeF* try_step(int step) const override IFET_EXCLUDES(mutex_);
-  const CumulativeHistogram& cumulative_histogram(int step) const override
-      IFET_EXCLUDES(mutex_);
-  Histogram histogram(int step) const override;
-
-  std::size_t generation_count() const override {
-    return tier_.store().load_count();
-  }
-
-  void hint_window(int lo, int hi) const override IFET_EXCLUDES(mutex_);
-  void prefetch_hint(int step) const override { tier_.store().prefetch(step); }
-
   /// This client's access/derived/fault counters (lock-free to read).
-  SharedStreamStats& stats() const { return stats_; }
+  SharedStreamStats& client_stats() const { return stats_; }
   /// This client's admission ledger snapshot (pins, denials, reloads).
   AdmissionStats admission_stats() const {
     return tier_.admission().client_stats(client_);
   }
-  int client_id() const { return client_; }
+
+ protected:
+  /// Pushes the window through admission and applies the resulting
+  /// pin/unpin delta to the shared cache.
+  void apply_window(int lo, int hi, int center) const override;
+  /// Residency probe + this client's stats and admission ledger.
+  void on_access(int step) const override;
 
  private:
-  /// Tier fetch + this client's FailPolicy: nullptr only under kSkipStep.
-  std::shared_ptr<const VolumeF> fetch_with_policy(int step) const;
-
-  /// Policy-independent nearest-good fetch for derived products: every
-  /// client's histograms bridge quarantined steps the same deterministic
-  /// way, so the memoized product is shareable across clients.
-  std::shared_ptr<const VolumeF> fetch_or_substitute(int step) const;
-
-  /// Window bookkeeping only (mirrors StreamedSequence::set_window_locked);
-  /// the admission/pin delta is applied by the caller AFTER unlocking.
-  std::pair<int, int> set_window_locked(
-      int lo, int hi,
-      std::vector<std::shared_ptr<const VolumeF>>& dropped) const
-      IFET_REQUIRES(mutex_);
-
-  /// Push the new window through admission and apply the resulting
-  /// pin/unpin delta to the shared cache. Runs with mutex_ released: the
-  /// admission mutex is a leaf and cache pins trigger loads.
-  void apply_window(int lo, int hi, int center) const;
-
   StreamTier& tier_;
-  ClientViewConfig config_;
   int client_ = -1;
   mutable SharedStreamStats stats_;
-
-  mutable OrderedMutex mutex_{MutexRank::kClientView};
-  mutable int window_lo_ IFET_GUARDED_BY(mutex_) = 0;
-  mutable int window_hi_ IFET_GUARDED_BY(mutex_) = -1;
-  /// Steps of the active window whose references callers may hold.
-  mutable std::map<int, std::shared_ptr<const VolumeF>> held_
-      IFET_GUARDED_BY(mutex_);
-  /// Per-view memo of tier cumulative histograms: keeps the shared_ptr so
-  /// returned references outlive any DerivedCache invalidation.
-  mutable std::map<int, std::shared_ptr<const CumulativeHistogram>>
-      cumhists_ IFET_GUARDED_BY(mutex_);
 };
 
 }  // namespace ifet

@@ -141,10 +141,8 @@ SessionManager::~SessionManager() {
 
 int SessionManager::create_session(FailPolicy fail_policy) {
   auto session = std::make_shared<ServerSession>();
-  ClientViewConfig view_config;
-  view_config.pin_radius = config_.pin_radius;
-  view_config.fail_policy = fail_policy;
-  session->view = std::make_unique<ClientSequenceView>(tier_, view_config);
+  session->view = std::make_unique<ClientSequenceView>(
+      tier_, config_.pin_radius, fail_policy);
   session->painting =
       std::make_unique<PaintingSession>(*session->view, config_.painting);
   session->tf = std::make_unique<TfSession>(*session->view, config_.tf);
@@ -187,7 +185,7 @@ std::size_t SessionManager::session_count() const {
 }
 
 StreamStats SessionManager::session_stats(int id) const {
-  return find(id)->view->stats().snapshot();
+  return find(id)->view->client_stats().snapshot();
 }
 
 AdmissionStats SessionManager::session_admission(int id) const {
@@ -268,7 +266,7 @@ ServerResult SessionManager::run_command(ServerSession& s,
           [&]() -> TransferFunction1D {
             return s.tf->current_tf(command.step);
           },
-          &s.view->stats());
+          &s.view->client_stats());
       result.digest = digest_tf(*tf);
       break;
     }
@@ -333,7 +331,7 @@ ServerResult SessionManager::run_command_noexcept(ServerSession& s,
     result.ok = false;
     result.status = ServerStatus::kDeadlineExceeded;
     result.error = e.what();
-    s.view->stats().count_deadline_exceeded();
+    s.view->client_stats().count_deadline_exceeded();
     tier_.aggregate().count_deadline_exceeded();
   } catch (const std::exception& e) {
     result = ServerResult{};
@@ -418,7 +416,7 @@ void SessionManager::submit(int id, Command command,
   // that re-submits (a client retrying immediately) must not re-enter the
   // strand mutex.
   if (have_victim) {
-    session->view->stats().count_shed();
+    session->view->client_stats().count_shed();
     tier_.aggregate().count_shed();
     if (victim.done) {
       ServerResult shed;
@@ -430,7 +428,7 @@ void SessionManager::submit(int id, Command command,
     }
   }
   if (action == ShedAction::kRejectNew) {
-    session->view->stats().count_rejected();
+    session->view->client_stats().count_rejected();
     tier_.aggregate().count_rejected();
     if (item.done) {
       ServerResult refused;

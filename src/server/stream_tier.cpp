@@ -1,7 +1,6 @@
 #include "server/stream_tier.hpp"
 
 #include "util/error.hpp"
-#include "util/hashing.hpp"
 
 namespace ifet {
 
@@ -14,7 +13,7 @@ VolumeStoreConfig store_config(const StreamTierConfig& c) {
   out.max_retries = c.max_retries;
   out.retry_backoff_ms = c.retry_backoff_ms;
   // Mechanism, not policy: the shared store only ever reports "no data"
-  // for a quarantined step; each ClientSequenceView layers its own
+  // for a quarantined step; each ClientSequenceView applies its own
   // FailPolicy on top (see the header comment).
   out.fail_policy = FailPolicy::kSkipStep;
   return out;
@@ -34,11 +33,8 @@ StreamTier::StreamTier(std::shared_ptr<const VolumeSource> source,
       admission_(payload_bytes(store_->dims()), config.pin_quota_bytes,
                  store_->num_steps()) {
   IFET_REQUIRE(config_.histogram_bins > 0, "StreamTier: need histogram bins");
-  auto [lo, hi] = store_->value_range();
-  hist_params_ = hash_combine(
-      hash_combine(static_cast<std::uint64_t>(config_.histogram_bins),
-                   hash_double(lo)),
-      hash_double(hi));
+  hist_params_ =
+      histogram_params_hash(config_.histogram_bins, store_->value_range());
   pressure_ = std::make_unique<PressureMonitor>(
       store_->cache(), admission_, derived_, aggregate_, hist_params_,
       config_.budget_bytes, step_bytes(), config_.pressure);
@@ -52,9 +48,7 @@ StreamStats StreamTier::stats() const {
   StreamStats out = store_->stats();
   out.merge(derived_.stats());
   // The overload counters live ONLY in the manager-side aggregate (views
-  // and the store never count them). The aggregate's access counters stay
-  // out: they mirror the per-view layer and would double-count the
-  // store's own hits/misses.
+  // and the store never count them); it holds nothing else.
   const StreamStats agg = aggregate_.snapshot();
   out.commands_rejected += agg.commands_rejected;
   out.commands_shed += agg.commands_shed;

@@ -54,13 +54,7 @@ class StreamTier {
   StreamTier(const StreamTier&) = delete;
   StreamTier& operator=(const StreamTier&) = delete;
 
-  Dims dims() const { return store_->dims(); }
-  int num_steps() const { return store_->num_steps(); }
-  std::pair<double, double> value_range() const {
-    return store_->value_range();
-  }
   int histogram_bins() const { return config_.histogram_bins; }
-  const StreamTierConfig& config() const { return config_; }
 
   /// Decoded payload bytes of one step (uniform across the sequence).
   std::size_t step_bytes() const;
@@ -76,13 +70,15 @@ class StreamTier {
   /// monitor is disabled or the state is steady).
   void poll_pressure() { pressure_->poll(); }
 
-  /// Process-wide concurrently-mutable aggregate of the per-view access
-  /// counters (the per-client views each keep their own SharedStreamStats).
+  /// Process-wide overload counters (rejected / shed / deadline-exceeded
+  /// commands, pressure transitions); every other counter is per client
+  /// (ClientSequenceView::client_stats) or in the store and DerivedCache.
   SharedStreamStats& aggregate() { return aggregate_; }
 
-  /// Params hash of the tier's histogram products — shared by every
-  /// client (bins and value range are tier-global), hence the one hash
-  /// the SessionManager must never retire from the DerivedCache.
+  /// Params hash of the tier's histogram products (histogram_params_hash)
+  /// — shared by every client (bins and value range are tier-global),
+  /// hence the one hash the SessionManager must never retire from the
+  /// DerivedCache.
   std::uint64_t hist_params() const { return hist_params_; }
 
   /// Combined store + derived counter snapshot (process-wide view).

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "stream/stream_stats.hpp"
 #include "tf/transfer_function.hpp"
@@ -29,6 +30,16 @@
 #include "volume/histogram.hpp"
 
 namespace ifet {
+
+/// Params hash of the histogram products of a sequence: bin count and the
+/// sequence-global value range. Every sequence over the same store and
+/// bins shares it, which is what lets the server's clients dedup.
+inline std::uint64_t histogram_params_hash(int bins,
+                                           std::pair<double, double> range) {
+  return hash_combine(
+      hash_combine(static_cast<std::uint64_t>(bins), hash_double(range.first)),
+      hash_double(range.second));
+}
 
 class DerivedCache {
  public:

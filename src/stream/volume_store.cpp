@@ -249,6 +249,13 @@ std::shared_ptr<const VolumeF> VolumeStore::resolve_unavailable(
     case FailPolicy::kNearestGood:
       break;
   }
+  auto volume = nearest_loadable(step);
+  OrderedMutexLock lock(mutex_);
+  ++nearest_good_substitutions_;
+  return volume;
+}
+
+std::shared_ptr<const VolumeF> VolumeStore::nearest_loadable(int step) {
   // Outward search: step-d before step+d, so ties resolve toward data the
   // consumer has already seen (deterministic regardless of cache state).
   for (int d = 1; d < num_steps(); ++d) {
@@ -257,10 +264,7 @@ std::shared_ptr<const VolumeF> VolumeStore::resolve_unavailable(
       if (candidate < 0 || candidate >= num_steps()) continue;
       if (is_quarantined(candidate)) continue;
       try {
-        auto volume = fetch_resident(candidate);
-        OrderedMutexLock lock(mutex_);
-        ++nearest_good_substitutions_;
-        return volume;
+        return fetch_resident(candidate);
       } catch (const DeadlineExceeded&) {
         // Budget gone mid-search: stop widening and surface the timeout —
         // the candidate is healthy, substituting nothing is wrong.
@@ -312,6 +316,9 @@ std::shared_ptr<const BrickIndex> VolumeStore::brick_index(int step) {
                "VolumeStore::brick_index: step out of range");
   {
     OrderedMutexLock lock(mutex_);
+    // Checked before the memo: an index stored before the step failed
+    // describes data no fetch() returns any more.
+    if (quarantine_.count(step) != 0) return nullptr;
     auto it = bricks_.find(step);
     if (it != bricks_.end()) return it->second;
   }

@@ -106,6 +106,14 @@ class VolumeStore {
   /// no-op outside the sequence).
   void prefetch(int step);
 
+  /// Volume of the loadable step nearest `step` other than `step` itself,
+  /// searched outward (step-d before step+d) past quarantined and failing
+  /// candidates; CorruptDataError when none loads. Applies no FailPolicy
+  /// and counts nothing: kNearestGood fetches, a sequence's own
+  /// kNearestGood policy and its histogram paths all bridge gaps here.
+  std::shared_ptr<const VolumeF> nearest_loadable(int step)
+      IFET_EXCLUDES(mutex_);
+
   /// Pin [lo, hi] (clamped) as the active window and start loading any
   /// non-resident window step in the background.
   void pin_window(int lo, int hi);
@@ -118,8 +126,9 @@ class VolumeStore {
   /// carries one (a seek + read of a few KB — the payload is never
   /// decoded), else built once from the decoded step via fetch(). Memoized
   /// for the store's lifetime (indices are ~0.2% of a volume, so they are
-  /// not budget-accounted or evictable). Under FailPolicy::kSkipStep a
-  /// quarantined legacy step yields nullptr, like fetch().
+  /// not budget-accounted or evictable). A quarantined step yields
+  /// nullptr: its fetch() answers a substitute's voxels or none, which its
+  /// own record does not describe, so the caller builds from the volume.
   std::shared_ptr<const BrickIndex> brick_index(int step)
       IFET_EXCLUDES(mutex_);
 

@@ -39,8 +39,8 @@ namespace ifet {
 enum class MutexRank : int {
   kSessionManager = 4,     ///< SessionManager session registry + hash refs
   kServerStrand = 6,       ///< Per-session command queue (strand) mutex
-  kStreamedSequence = 10,  ///< StreamedSequence window/held-refs mutex
-  kClientView = 12,        ///< ClientSequenceView window/held-refs mutex
+  kStreamedSequence = 10,  ///< StreamedSequence (and ClientSequenceView)
+                           ///< window/held-refs mutex
   kPressure = 15,          ///< PressureMonitor transition state (held across
                            ///< admission/cache/derived calls, all ranked
                            ///< higher, while a pressure transition applies)
@@ -61,9 +61,9 @@ namespace detail {
 /// registers a TLS destructor, which runs BEFORE atexit-time static
 /// destructors — and the global ThreadPool locks its OrderedMutex from
 /// exactly such a destructor. A POD thread_local has no destructor, so
-/// its storage stays valid through program teardown. Capacity 16 is far
+/// its storage stays valid through program teardown. Capacity 16 is
 /// above the deepest legal chain (ranks strictly increase and the rank
-/// table has 7 entries).
+/// table has 12 entries).
 struct HeldRanks {
   static constexpr int kCapacity = 16;
   int ranks[kCapacity];

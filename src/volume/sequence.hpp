@@ -9,11 +9,13 @@
 // resident or streamed from disk under a byte budget.
 //
 // Implementations:
-//  * StreamedSequence (src/stream/) — byte-budgeted cache, async prefetch,
-//    windowed pinning, derived-product memoization; an unlimited budget
-//    (the default) is the fully-resident path.
-//  * ClientSequenceView (src/server/) — one client's view of the
-//    multi-tenant server's shared stream tier.
+//  * StreamedSequence (src/stream/) — the one implementation over a
+//    VolumeStore: byte-budgeted cache, async prefetch, windowed pinning,
+//    derived-product memoization; an unlimited budget (the default) is
+//    the fully-resident path.
+//  * ClientSequenceView (src/server/) — a StreamedSequence over the
+//    multi-tenant server's shared stream tier that routes its window pins
+//    through per-client admission and attributes accesses to the client.
 #pragma once
 
 #include <functional>

@@ -9,15 +9,22 @@
 // kNearestGood while kThrow surfaces the CorruptDataError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/iatf.hpp"
 #include "math/vec.hpp"
 #include "core/track_events.hpp"
 #include "core/tracking.hpp"
+#include "io/compressed.hpp"
+#include "render/raycaster.hpp"
 #include "stream/fault_injection.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "stream/volume_store.hpp"
@@ -421,6 +428,74 @@ TEST(GracefulDegradation, IatfTrainsAcrossAGap) {
   iatf.add_key_frame(kSteps - 1, key);
   iatf.train(10);
   EXPECT_NO_THROW(iatf.evaluate(2));  // the gap step itself
+}
+
+// A quarantined step rendered under kNearestGood shows the substitute's
+// voxels, so brick skipping must use their ranges, not the step's own
+// ingest-time brick record (which would clip the substitute's feature).
+TEST(GracefulDegradation, NearestGoodRenderSkipsBricksOfTheSubstitute) {
+  const Dims d{32, 32, 32};
+  CallbackSource source(d, 3, {0.0, 1.0}, [d](int step) {
+    VolumeF v(d);
+    const double cx = step == 2 ? 27.0 : 4.0;  // jumps across at step 2
+    for (int k = 0; k < d.z; ++k) {
+      for (int j = 0; j < d.y; ++j) {
+        for (int i = 0; i < d.x; ++i) {
+          const double r2 = (i - cx) * (i - cx) + (j - 16.0) * (j - 16.0) +
+                            (k - 16.0) * (k - 16.0);
+          v.at(i, j, k) = static_cast<float>(std::max(0.0, 1.0 - r2 / 25.0));
+        }
+      }
+    }
+    return v;
+  });
+  const std::string path =
+      ::testing::TempDir() + "ifet_nearest_good_bricks.cvol";
+  write_compressed_sequence(source, path);
+  {
+    // Flip one byte mid-payload of step 2; its brick record stays intact.
+    // The index (offset, size, brick offset, brick size as u64 each per
+    // step) follows the header line.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    std::string header;
+    std::getline(file, header);
+    file.seekg(static_cast<std::streamoff>(header.size() + 1 + 2 * 32));
+    std::uint64_t entry[4] = {};
+    file.read(reinterpret_cast<char*>(entry), sizeof(entry));
+    const auto pos = static_cast<std::streamoff>(entry[0] + entry[1] / 2);
+    char byte = 0;
+    file.seekg(pos);
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    file.seekp(pos);
+    file.write(&byte, 1);
+  }
+
+  StreamConfig config;
+  config.lookahead = 0;
+  config.async_prefetch = false;
+  config.max_retries = 0;
+  config.fail_policy = FailPolicy::kNearestGood;
+  auto sequence = StreamedSequence::open_cvol(path, config);
+  RenderSettings settings;
+  settings.width = 48;
+  settings.height = 48;
+  const Raycaster caster(settings);
+  TransferFunction1D tf(0.0, 1.0);
+  tf.add_band(0.3, 1.0, 0.9, 0.05);
+  const Camera camera(0.3, 0.2, 2.5);
+  const ImageRgb8 streamed = caster.render_step(
+      *sequence, 2, tf, ColorMap(), camera, nullptr, nullptr, false);
+  ASSERT_TRUE(sequence->store().is_quarantined(2));
+  // The reference plan builds its brick index from the voxels it renders.
+  const ImageRgb8 reference =
+      caster.render(sequence->step(2), tf, ColorMap(), camera);
+  EXPECT_EQ(streamed.pixels, reference.pixels);
+  EXPECT_NE(std::count_if(reference.pixels.begin(), reference.pixels.end(),
+                          [](std::uint8_t p) { return p != 0; }),
+            0);
+  sequence.reset();
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

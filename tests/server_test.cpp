@@ -5,11 +5,14 @@
 // data), and per-client fail policies must compose independently.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "io/checksum.hpp"
+#include "io/compressed.hpp"
 #include "server/client_view.hpp"
 #include "server/session_manager.hpp"
 #include "server/stream_tier.hpp"
@@ -413,6 +416,63 @@ TEST(StreamTier, OverlappingClientPinsCompose) {
   ClientSequenceView scanner(tier);
   for (int s = 0; s < steps; ++s) (void)scanner.step(s);
   EXPECT_TRUE(tier.store().cache().resident(2));
+}
+
+// A window hint wholly outside the sequence pins nothing (as
+// VolumeStore::pin_window) and gives back the previous window's pins.
+TEST(SessionManager, OutOfRangeHintWindowPinsNothing) {
+  const int steps = 8;
+  SessionManager manager(blob_source(steps), {});
+  const int id = manager.create_session();
+
+  Command hint;
+  hint.kind = CommandKind::kHintWindow;
+  hint.window_lo = 2;
+  hint.window_hi = 4;
+  ASSERT_TRUE(manager.execute(id, hint).ok);
+  EXPECT_EQ(manager.session_admission(id).pinned_steps, 3u);
+
+  for (const auto& [lo, hi] : {std::pair{20, 30}, std::pair{-5, -2}}) {
+    hint.window_lo = lo;
+    hint.window_hi = hi;
+    const ServerResult result = manager.execute(id, hint);
+    EXPECT_EQ(result.status, ServerStatus::kOk) << result.error;
+    EXPECT_EQ(manager.session_admission(id).pinned_steps, 0u);
+  }
+
+  hint.window_lo = 6;
+  hint.window_hi = 9;  // clamps to [6, 7]
+  ASSERT_TRUE(manager.execute(id, hint).ok);
+  EXPECT_EQ(manager.session_admission(id).pinned_steps, 2u);
+}
+
+// A server render over a v2 .cvol reads the container's ingest-time brick
+// record instead of rebuilding the brick index from the decoded step.
+TEST(SessionManager, RenderUsesContainerBrickMetadata) {
+  const int steps = 3;
+  const std::string path =
+      ::testing::TempDir() + "ifet_server_render_bricks.cvol";
+  write_compressed_sequence(*blob_source(steps), path);
+  {
+    SessionManager manager(std::make_shared<CompressedFileSource>(path), {});
+    const int id = manager.create_session();
+    Command key;
+    key.kind = CommandKind::kSetKeyFrame;
+    key.step = 0;
+    key.band_lo = 0.5;
+    key.band_hi = 1.0;
+    ASSERT_TRUE(manager.execute(id, key).ok);
+    Command render;
+    render.kind = CommandKind::kRender;
+    render.step = 1;
+    render.image_size = 16;
+    const ServerResult result = manager.execute(id, render);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.bricks_total, 0u);
+    EXPECT_GE(manager.tier().store().brick_metadata_reads(), 1u);
+    EXPECT_EQ(manager.tier().store().brick_builds(), 0u);
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -372,6 +372,18 @@ TEST(StreamedSequence, HistogramsMemoizedAcrossEviction) {
   EXPECT_GT(seq.stats().derived_hits, 0u);
 }
 
+TEST(StreamedSequence, CumulativeHistogramOutlivesCacheShedding) {
+  auto source = counter_source(4);
+  StreamedSequence seq(source);
+  const CumulativeHistogram& ch = seq.cumulative_histogram(0);
+  const double f = ch.fraction_at(0.5);
+  // Pressure relief drops every product outside the kept params hash; the
+  // reference is documented valid for the sequence's lifetime regardless.
+  EXPECT_GT(seq.derived_cache().shed_except(0), 0u);
+  EXPECT_DOUBLE_EQ(ch.fraction_at(0.5), f);
+  EXPECT_EQ(&seq.cumulative_histogram(0), &ch);
+}
+
 TEST(StreamedSequence, RejectsInvertedWindowHint) {
   auto source = counter_source(4);
   StreamedSequence seq(source);

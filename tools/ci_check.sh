@@ -21,7 +21,8 @@
 #      validator on
 #   5. tsan preset: build + run the streaming/concurrency stress tests
 #      (the CacheManager/Prefetcher, fault-storm, thread-pool, and
-#      multi-tenant-server race detectors) plus the bench AllocGuard
+#      multi-tenant-server race detectors), server_test, stream_test and
+#      concurrency_regression_test, plus the bench AllocGuard
 #      steady-state checks (FlatMlp forward_batch, Raycaster row kernel,
 #      CacheManager hit path) in their fast check-only modes, the
 #      render-equivalence smoke (brick empty-space skipping vs the scalar
@@ -179,18 +180,21 @@ stage_tsan() {
   # empty-space-skipping path against the scalar march across all three
   # compositing variants, with the row pool racing under TSan; the render
   # replay (--replay-check-only) digests pixels and RenderStats counters
-  # of the dynamic row-chunk schedule at pool widths {1, 4, hw}. The
-  # multi-tenant server rides along twice: its dedicated stress storm and
+  # of the dynamic row-chunk schedule at pool widths {1, 4, hw}.
+  # server_test, stream_test and concurrency_regression_test drive the one
+  # StreamedSequence window path (single-user and per-client views) from
+  # several threads. The multi-tenant server rides along twice: its dedicated stress storm and
   # the deterministic bench_perf_server load generator in --smoke mode
   # (small fleet, bitwise tight-vs-infinite-budget equivalence gate).
   cmake --preset tsan &&
     cmake --build --preset tsan -j "$JOBS" --target \
       stress_cache_manager_test stress_fault_storm_test \
       stress_thread_pool_test stress_server_test flat_mlp_test \
+      server_test stream_test concurrency_regression_test \
       bench_perf_classify bench_perf_render bench_perf_stream \
       bench_perf_server &&
     ctest --preset tsan -j "$JOBS" -R \
-      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test' &&
+      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|server_test|stream_test|concurrency_regression_test' &&
     "$ROOT/build-tsan/bench/bench_perf_classify" --alloc-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_classify" --replay-check-only &&
     "$ROOT/build-tsan/bench/bench_perf_render" --render-check-only &&
