@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -139,45 +140,8 @@ VolumeF DataSpaceClassifier::classify(const VolumeF& volume, int step) const {
   const FeatureContext ctx = context_for(volume, step);
   const FeatureBlockAssembler assembler(config_.spec, ctx);
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
-  const int width = assembler.width();
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(d.z), [&](std::size_t k0, std::size_t k1) {
-        // Per-worker batch buffers: allocated once per range and reused for
-        // every batch in it — zero heap traffic per voxel.
-        FlatMlp::Scratch scratch;
-        std::vector<Index3> coords(kClassifyBatchSize);
-        std::vector<double> features(
-            static_cast<std::size_t>(kClassifyBatchSize) * width);
-        std::vector<double> certainty(kClassifyBatchSize);
-        int pending = 0;
-        // The k,j,i sweep below visits consecutive linear indices (the
-        // volume is x-fastest), so each flush writes one contiguous span.
-        std::size_t flush_base = out.linear_index(0, 0, static_cast<int>(k0));
-        auto flush = [&] {
-          if (pending == 0) return;
-          // Column-major batch: assembler writes feature columns, the
-          // engine reads them in place — no per-tile transpose.
-          assembler.assemble_feature_cols(coords.data(), pending,
-                                          features.data(), kClassifyBatchSize);
-          flat->forward_batch_cols(features.data(), kClassifyBatchSize,
-                                   pending, certainty.data(), scratch);
-          for (int r = 0; r < pending; ++r) {
-            out[flush_base + static_cast<std::size_t>(r)] =
-                static_cast<float>(certainty[r]);
-          }
-          flush_base += static_cast<std::size_t>(pending);
-          pending = 0;
-        };
-        for (int k = static_cast<int>(k0); k < static_cast<int>(k1); ++k) {
-          for (int j = 0; j < d.y; ++j) {
-            for (int i = 0; i < d.x; ++i) {
-              coords[pending] = {i, j, k};
-              if (++pending == kClassifyBatchSize) flush();
-            }
-          }
-        }
-        flush();
-      });
+  classify_volume_sweep(d, assembler, *flat,
+                        store_certainty(out.data().data()));
   return out;
 }
 
@@ -243,45 +207,19 @@ std::vector<float> DataSpaceClassifier::classify_slice(const VolumeF& volume,
                          static_cast<std::size_t>(height));
   const FeatureBlockAssembler assembler(config_.spec, ctx);
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
-  const int feat_width = assembler.width();
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(height),
-      [&](std::size_t row0, std::size_t row1) {
-        FlatMlp::Scratch scratch;
-        std::vector<Index3> coords(kClassifyBatchSize);
-        std::vector<double> features(
-            static_cast<std::size_t>(kClassifyBatchSize) * feat_width);
-        std::vector<double> certainty(kClassifyBatchSize);
-        int pending = 0;
-        // Row-major sweep over the slice image: consecutive output indices.
-        std::size_t flush_base = row0 * static_cast<std::size_t>(width);
-        auto flush = [&] {
-          if (pending == 0) return;
-          assembler.assemble_feature_cols(coords.data(), pending,
-                                          features.data(), kClassifyBatchSize);
-          flat->forward_batch_cols(features.data(), kClassifyBatchSize,
-                                   pending, certainty.data(), scratch);
-          for (int r = 0; r < pending; ++r) {
-            out[flush_base + static_cast<std::size_t>(r)] =
-                static_cast<float>(certainty[r]);
-          }
-          flush_base += static_cast<std::size_t>(pending);
-          pending = 0;
-        };
-        for (std::size_t row = row0; row < row1; ++row) {
-          for (int col = 0; col < width; ++col) {
-            int i = 0, j = 0, k = 0;
-            switch (axis) {
-              case 0: i = slice; j = col; k = static_cast<int>(row); break;
-              case 1: i = col; j = slice; k = static_cast<int>(row); break;
-              default: i = col; j = static_cast<int>(row); k = slice; break;
-            }
-            coords[pending] = {i, j, k};
-            if (++pending == kClassifyBatchSize) flush();
-          }
+  // Image row r is one voxel line along the slice's first in-plane axis.
+  const Index3 along = axis == 0 ? Index3{0, 1, 0} : Index3{1, 0, 0};
+  classify_sweep(
+      static_cast<std::size_t>(height), width, along,
+      [axis, slice](std::size_t row) {
+        const int r = static_cast<int>(row);
+        switch (axis) {
+          case 0: return Index3{slice, 0, r};
+          case 1: return Index3{0, slice, r};
+          default: return Index3{0, r, slice};
         }
-        flush();
-      });
+      },
+      assembler, *flat, store_certainty(out.data()));
   return out;
 }
 

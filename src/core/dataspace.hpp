@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "core/feature_vector.hpp"
+#include "core/sweep.hpp"
 #include "nn/flat_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "nn/training.hpp"
@@ -77,11 +78,9 @@ class DataSpaceClassifier {
   std::size_t training_samples() const { return training_set_.size(); }
   double last_mse() const { return trainer_.last_mse(); }
 
-  /// Voxels fed to the flat inference engine per forward_batch call. Large
-  /// enough to amortize the batch setup, small enough that the per-worker
-  /// feature matrix (kClassifyBatchSize x spec width doubles) stays in
-  /// cache.
-  static constexpr int kClassifyBatchSize = 256;
+  /// Voxels fed to the flat inference engine per forward_batch call (the
+  /// shared sweep's batch, core/sweep.hpp).
+  static constexpr int kClassifyBatchSize = kSweepBatch;
 
   /// Per-voxel certainty in [0,1] for the entire step (thread-parallel).
   /// Voxels are batched through a FlatMlp rebuilt from the live network on

@@ -137,53 +137,19 @@ FeatureBlockAssembler::FeatureBlockAssembler(const FeatureVectorSpec& spec,
   const Dims d = context_.volume->dims();
   if (spec_.use_shell) {
     const auto offsets = shell_offsets(spec_.shell_radius, spec_.shell_samples);
-    // Per-axis padding so every tap's floor corner and its +1 neighbour
-    // index straight into the padded grid for any voxel of the volume.
-    int klo_x = 0, khi_x = 0, klo_y = 0, khi_y = 0, klo_z = 0, khi_z = 0;
     taps_.reserve(offsets.size());
     for (const Vec3& off : offsets) {
       ShellTap tap;
-      const int kx = static_cast<int>(std::floor(off.x));
-      const int ky = static_cast<int>(std::floor(off.y));
-      const int kz = static_cast<int>(std::floor(off.z));
+      tap.kx = static_cast<int>(std::floor(off.x));
+      tap.ky = static_cast<int>(std::floor(off.y));
+      tap.kz = static_cast<int>(std::floor(off.z));
       // Exact: off - floor(off) is a multiple of 1/256, and it equals the
       // (i + off) - floor(i + off) the scalar path computes (both sums are
       // exact). These are the voxel-independent trilinear weights.
-      tap.fx = off.x - static_cast<double>(kx);
-      tap.fy = off.y - static_cast<double>(ky);
-      tap.fz = off.z - static_cast<double>(kz);
+      tap.fx = off.x - static_cast<double>(tap.kx);
+      tap.fy = off.y - static_cast<double>(tap.ky);
+      tap.fz = off.z - static_cast<double>(tap.kz);
       taps_.push_back(tap);
-      klo_x = std::min(klo_x, kx);
-      khi_x = std::max(khi_x, kx);
-      klo_y = std::min(klo_y, ky);
-      khi_y = std::max(khi_y, ky);
-      klo_z = std::min(klo_z, kz);
-      khi_z = std::max(khi_z, kz);
-    }
-    const int plx = -klo_x, phx = khi_x + 1;
-    const int ply = -klo_y, phy = khi_y + 1;
-    const int plz = -klo_z, phz = khi_z + 1;
-    const int px = d.x + plx + phx;
-    const int py = d.y + ply + phy;
-    const int pz = d.z + plz + phz;
-    pdx_ = px;
-    pdxy_ = static_cast<std::ptrdiff_t>(px) * py;
-    padded_.resize(pdxy_ * static_cast<std::ptrdiff_t>(pz));
-    const VolumeF& vol = *context_.volume;
-    std::ptrdiff_t w = 0;
-    for (int c = 0; c < pz; ++c) {
-      for (int b = 0; b < py; ++b) {
-        for (int a = 0; a < px; ++a) {
-          padded_[w++] = vol.clamped(a - plx, b - ply, c - plz);
-        }
-      }
-    }
-    for (std::size_t t = 0; t < taps_.size(); ++t) {
-      const Vec3& off = offsets[t];
-      const int kx = static_cast<int>(std::floor(off.x));
-      const int ky = static_cast<int>(std::floor(off.y));
-      const int kz = static_cast<int>(std::floor(off.z));
-      taps_[t].base = (kx + plx) + pdx_ * (ky + ply) + pdxy_ * (kz + plz);
     }
   }
   // Denominators (not reciprocals) so the division matches the scalar
@@ -195,57 +161,21 @@ FeatureBlockAssembler::FeatureBlockAssembler(const FeatureVectorSpec& spec,
                 std::max(1, context_.num_steps - 1);
 }
 
-void FeatureBlockAssembler::assemble_feature_block(const Index3* voxels,
-                                                   int count,
-                                                   double* out) const {
-  IFET_REQUIRE(count == 0 || (voxels != nullptr && out != nullptr),
-               "assemble_feature_block: null block buffer");
-  const VolumeF& vol = *context_.volume;
-  const double lo = context_.value_lo;
-  const double span = span_;
-  const float* pad = padded_.data();
-  const std::ptrdiff_t pdx = pdx_;
-  const std::ptrdiff_t pdxy = pdxy_;
-  for (int v = 0; v < count; ++v) {
-    const int i = voxels[v].x;
-    const int j = voxels[v].y;
-    const int k = voxels[v].z;
-    double* row = out + static_cast<std::size_t>(v) * width_;
-    if (spec_.use_value) {
-      *row++ = clamp((vol.clamped(i, j, k) - lo) / span, 0.0, 1.0);
-    }
-    if (spec_.use_shell) {
-      // Clamp-free trilinear taps on the padded grid: the same lerp chain
-      // as Volume::sample with the per-direction constant weights.
-      const std::ptrdiff_t vbase = i + pdx * j + pdxy * k;
-      for (const ShellTap& tap : taps_) {
-        const float* c = pad + vbase + tap.base;
-        const double c000 = c[0], c100 = c[1];
-        const double c010 = c[pdx], c110 = c[pdx + 1];
-        const double c001 = c[pdxy], c101 = c[pdxy + 1];
-        const double c011 = c[pdxy + pdx], c111 = c[pdxy + pdx + 1];
-        const double c00 = lerp(c000, c100, tap.fx);
-        const double c10 = lerp(c010, c110, tap.fx);
-        const double c01 = lerp(c001, c101, tap.fx);
-        const double c11 = lerp(c011, c111, tap.fx);
-        const double s =
-            lerp(lerp(c00, c10, tap.fy), lerp(c01, c11, tap.fy), tap.fz);
-        *row++ = clamp((s - lo) / span, 0.0, 1.0);
-      }
-    }
-    if (spec_.use_position) {
-      *row++ = static_cast<double>(i) / den_x_;
-      *row++ = static_cast<double>(j) / den_y_;
-      *row++ = static_cast<double>(k) / den_z_;
-    }
-    if (spec_.use_time) {
-      *row++ = time_value_;
-    }
-    if (spec_.use_gradient) {
-      *row++ = clamp(gradient_at(vol, i, j, k).norm() / span, 0.0, 1.0);
-    }
-  }
+namespace {
+
+// Volume::sample's lerp chain over eight corner values (x fastest, then y,
+// then z), with the tap's constant weights.
+inline double trilerp(double c000, double c100, double c010, double c110,
+                      double c001, double c101, double c011, double c111,
+                      double fx, double fy, double fz) {
+  const double c00 = lerp(c000, c100, fx);
+  const double c10 = lerp(c010, c110, fx);
+  const double c01 = lerp(c001, c101, fx);
+  const double c11 = lerp(c011, c111, fx);
+  return lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz);
 }
+
+}  // namespace
 
 void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
                                                   int count, double* out,
@@ -254,23 +184,25 @@ void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
                "assemble_feature_cols: null block buffer");
   IFET_REQUIRE(ld >= count, "assemble_feature_cols: ld shorter than batch");
   const VolumeF& vol = *context_.volume;
+  const Dims d = vol.dims();
+  const float* data = vol.data().data();
   const double lo = context_.value_lo;
   const double span = span_;
-  const float* pad = padded_.data();
-  const std::ptrdiff_t pdx = pdx_;
-  const std::ptrdiff_t pdxy = pdxy_;
-  // Chunk so the hoisted per-voxel base offsets live on the stack; within
-  // a chunk every column write is one tight loop over voxels.
+  // Start of the clamped x-row (y, z).
+  auto row_at = [&](int y, int z) {
+    y = std::clamp(y, 0, d.y - 1);
+    z = std::clamp(z, 0, d.z - 1);
+    return data + static_cast<std::size_t>(d.x) *
+                      (static_cast<std::size_t>(y) +
+                       static_cast<std::size_t>(d.y) *
+                           static_cast<std::size_t>(z));
+  };
+  // Chunk so the run table lives on the stack; within a chunk every
+  // column write is one tight loop over voxels.
   constexpr int kChunk = 256;
-  std::ptrdiff_t vb[kChunk];
   for (int v0 = 0; v0 < count; v0 += kChunk) {
     const int n = std::min(kChunk, count - v0);
     const Index3* vx = voxels + v0;
-    if (spec_.use_shell) {
-      for (int v = 0; v < n; ++v) {
-        vb[v] = vx[v].x + pdx * vx[v].y + pdxy * vx[v].z;
-      }
-    }
     int comp = 0;
     auto col_at = [&](int c) {
       return out + static_cast<std::size_t>(c) * ld + v0;
@@ -285,44 +217,68 @@ void FeatureBlockAssembler::assemble_feature_cols(const Index3* voxels,
     }
     if (spec_.use_shell) {
       // The classify sweeps feed x-fastest voxel lists, so a chunk is a
-      // handful of maximal unit-stride runs (whole x-rows). Splitting the
-      // chunk into those runs turns every tap's eight corner loads into
-      // contiguous float loads (c[u], c[u+1], c[u+pdx], ...), which the
-      // vectorizer handles — the indirect vb[v] gather it cannot.
+      // handful of maximal x-runs (consecutive x on one row). Within a run
+      // every tap's eight corners are contiguous float loads from four
+      // rows, which the vectorizer handles.
       int run_start[kChunk];
       int run_len[kChunk];
       int nruns = 0;
       for (int v = 0; v < n;) {
         const int s = v++;
-        while (v < n && vb[v] == vb[v - 1] + 1) ++v;
+        while (v < n && vx[v].x == vx[v - 1].x + 1 && vx[v].y == vx[s].y &&
+               vx[v].z == vx[s].z) {
+          ++v;
+        }
         run_start[nruns] = s;
         run_len[nruns] = v - s;
         ++nruns;
       }
-      // Direction-outer: one tap's constant base offset and trilinear
-      // weights stay in registers while the loop streams voxels. Same
-      // arithmetic per (voxel, tap) as assemble_feature_block.
+      // Direction-outer: one tap's corner offsets and trilinear weights
+      // stay in registers while the loop streams voxels.
       for (const ShellTap& tap : taps_) {
         double* col = col_at(comp++);
-        const std::ptrdiff_t tb = tap.base;
+        const int kx = tap.kx;
         const double fx = tap.fx, fy = tap.fy, fz = tap.fz;
         for (int rr = 0; rr < nruns; ++rr) {
           const int rs = run_start[rr];
           const int len = run_len[rr];
-          const float* c = pad + vb[rs] + tb;
+          const Index3 first = vx[rs];
+          const int y = first.y + tap.ky;
+          const int z = first.z + tap.kz;
+          const float* r00 = row_at(y, z);
+          const float* r10 = row_at(y + 1, z);
+          const float* r01 = row_at(y, z + 1);
+          const float* r11 = row_at(y + 1, z + 1);
           double* o = col + rs;
-          for (int u = 0; u < len; ++u) {
-            const double c000 = c[u], c100 = c[u + 1];
-            const double c010 = c[u + pdx], c110 = c[u + pdx + 1];
-            const double c001 = c[u + pdxy], c101 = c[u + pdxy + 1];
-            const double c011 = c[u + pdxy + pdx], c111 = c[u + pdxy + pdx + 1];
-            const double c00 = lerp(c000, c100, fx);
-            const double c10 = lerp(c010, c110, fx);
-            const double c01 = lerp(c001, c101, fx);
-            const double c11 = lerp(c011, c111, fx);
-            const double s = lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz);
+          // Voxel first.x + u reads x-corners first.x + u + kx and + 1;
+          // both are in range for u in [ua, ub). Outside it both clamp to
+          // the same boundary voxel.
+          const int x0 = first.x + kx;
+          const int ua = std::clamp(-x0, 0, len);
+          const int ub = std::clamp(d.x - 1 - x0, ua, len);
+          auto edge = [&](int u) {
+            const int xe = std::clamp(x0 + u, 0, d.x - 1);
+            const double s =
+                trilerp(r00[xe], r00[xe], r10[xe], r10[xe], r01[xe],
+                        r01[xe], r11[xe], r11[xe], fx, fy, fz);
             o[u] = clamp((s - lo) / span, 0.0, 1.0);
+          };
+          for (int u = 0; u < ua; ++u) edge(u);
+          if (ua < ub) {
+            const float* a00 = r00 + (x0 + ua);
+            const float* a10 = r10 + (x0 + ua);
+            const float* a01 = r01 + (x0 + ua);
+            const float* a11 = r11 + (x0 + ua);
+            double* ou = o + ua;
+            const int m = ub - ua;
+            for (int u = 0; u < m; ++u) {
+              const double s =
+                  trilerp(a00[u], a00[u + 1], a10[u], a10[u + 1], a01[u],
+                          a01[u + 1], a11[u], a11[u + 1], fx, fy, fz);
+              ou[u] = clamp((s - lo) / span, 0.0, 1.0);
+            }
           }
+          for (int u = ub; u < len; ++u) edge(u);
         }
       }
     }

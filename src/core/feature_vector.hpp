@@ -64,31 +64,36 @@ std::vector<Vec3> shell_directions(int count);
 /// and it makes `voxel_index + offset` exact in double for any volume that
 /// fits in memory, so the fractional interpolation weights are the same
 /// constants for every voxel. That constancy is what lets the batched
-/// assembler hoist the weights and run clamp-free over a padded copy while
-/// staying bitwise identical to the scalar path.
+/// assembler hoist the weights and integer corner offsets while staying
+/// bitwise identical to the scalar path.
 std::vector<Vec3> shell_offsets(double radius, int count);
 
 /// Batched feature assembly for the flat inference engine.
 ///
 /// Construction hoists everything assemble_feature_vector recomputes per
 /// voxel out of the voxel loop: the value span, position denominators and
-/// normalized time, and — for the shell — the per-direction interpolation
-/// weights plus an edge-replicated padded copy of the volume. Because the
-/// quantized shell_offsets() make `voxel + offset` exact, each direction's
-/// trilinear weights are voxel-independent constants and every sample
-/// reduces to eight direct loads from the padded grid and the same lerp
-/// chain Volume::sample runs — no coordinate clamping, flooring, or bounds
-/// logic left per voxel. assemble_feature_block then writes feature rows
-/// straight into the caller's batch matrix with no per-voxel allocations.
+/// normalized time, and — for the shell — each direction's integer floor
+/// corner offset (kx, ky, kz) and trilinear weights. Because the quantized
+/// shell_offsets() make `voxel + offset` exact, those are voxel-independent
+/// constants, and a sample of voxel (i, j, k) is the lerp chain
+/// Volume::sample runs over the eight corners (i+kx+{0,1}, j+ky+{0,1},
+/// k+kz+{0,1}), each clamped to the volume.
 ///
-/// Numerical contract: each written row is bitwise identical to
-/// assemble_feature_vector(spec, context, v.x, v.y, v.z) for the same
-/// voxel. Out-of-range samples hit edge-replicated padding, where both
-/// trilinear operands are equal and lerp(a, a, t) == a exactly — the same
-/// value the scalar path's clamp-to-edge produces.
+/// assemble_feature_cols reads the corners in place from the step's
+/// volume; there is no padded copy. It splits the voxel list into x-runs
+/// (consecutive x on one row). For each run and direction it clamps the
+/// y/z corner rows once, giving four row pointers, runs the vectorized
+/// lerp chain over the span whose x-corners are both in range, and sends
+/// the at most |kx|+1 voxels at each end of the run through a clamped-x
+/// scalar path. A clamped corner holds the boundary voxel, where both
+/// lerp operands are equal and lerp(a, a, t) == a exactly — the value the
+/// scalar path's clamp-to-edge produces.
+///
+/// Numerical contract: component c of voxel v is bitwise identical to
+/// assemble_feature_vector(spec, context, v.x, v.y, v.z)[c].
 ///
 /// The assembler borrows `context.volume`; it must outlive the assembler.
-/// Safe to share across threads (assemble_feature_block is const and
+/// Safe to share across threads (assemble_feature_cols is const and
 /// touches no mutable state).
 class FeatureBlockAssembler {
  public:
@@ -97,35 +102,27 @@ class FeatureBlockAssembler {
 
   int width() const { return width_; }
 
-  /// Assemble `count` voxels into `out`, a count x width() row-major
-  /// block (the inference batch matrix).
-  void assemble_feature_block(const Index3* voxels, int count,
-                              double* out) const;
-
-  /// Column-major variant for FlatMlp::forward_batch_cols: component c of
-  /// voxel v lands at out[c*ld + v] (ld >= count). Shell directions become
-  /// the OUTER loop, so each inner loop runs one fixed tap across many
-  /// voxels — constant weights in registers, contiguous stores — and the
-  /// inference engine consumes the columns without a transpose. Values are
-  /// bitwise identical to assemble_feature_block's (same expressions, just
-  /// reordered across independent voxels).
+  /// Column-major batch for FlatMlp::forward_batch_cols: component c of
+  /// voxel v lands at out[c*ld + v] (ld >= count). Shell directions are
+  /// the OUTER loop, so each inner loop runs one fixed tap across an
+  /// x-run — constant weights in registers, contiguous loads and stores —
+  /// and the inference engine consumes the columns without a transpose.
+  /// Any voxel list is accepted; x-fastest lists (the classify sweeps)
+  /// give long runs.
   void assemble_feature_cols(const Index3* voxels, int count, double* out,
                              int ld) const;
 
  private:
-  /// One shell direction, resolved against the padded grid: the linear
-  /// offset of its (floor) corner for voxel (0,0,0) plus the constant
-  /// trilinear weights.
+  /// One shell direction: the integer offset of its floor corner and the
+  /// constant trilinear weights.
   struct ShellTap {
-    std::ptrdiff_t base = 0;
+    int kx = 0, ky = 0, kz = 0;
     double fx = 0.0, fy = 0.0, fz = 0.0;
   };
 
   FeatureVectorSpec spec_;
   FeatureContext context_;
   std::vector<ShellTap> taps_;    ///< hoisted per-direction sample plan
-  std::vector<float> padded_;     ///< edge-replicated volume copy
-  std::ptrdiff_t pdx_ = 0, pdxy_ = 0;  ///< padded row/slab strides
   int width_ = 0;
   double span_ = 1.0;
   double den_x_ = 1.0, den_y_ = 1.0, den_z_ = 1.0;

@@ -2,60 +2,10 @@
 
 #include <algorithm>
 
-#include "parallel/thread_pool.hpp"
+#include "core/sweep.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
-
-namespace {
-
-// Matches DataSpaceClassifier::kClassifyBatchSize; see its rationale.
-constexpr int kBatch = 256;
-
-// Batched k,j,i sweep shared by the volume passes: per worker range,
-// assemble kBatch-voxel feature blocks, run them through `flat`, and hand
-// each batch's scores (rows x out_width, row-major) to `emit` along with
-// the linear index of the batch's first voxel. The sweep is x-fastest, so
-// batches cover contiguous linear-index spans.
-template <typename Emit>
-void batched_sweep(const Dims& d, const FeatureBlockAssembler& assembler,
-                   const FlatMlp& flat, int out_width, Emit&& emit) {
-  const int feat_width = assembler.width();
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(d.z), [&](std::size_t k0, std::size_t k1) {
-        FlatMlp::Scratch scratch;
-        std::vector<Index3> coords(kBatch);
-        std::vector<double> features(static_cast<std::size_t>(kBatch) *
-                                     feat_width);
-        std::vector<double> scores(static_cast<std::size_t>(kBatch) *
-                                   out_width);
-        int pending = 0;
-        std::size_t flush_base =
-            static_cast<std::size_t>(d.x) * static_cast<std::size_t>(d.y) * k0;
-        auto flush = [&] {
-          if (pending == 0) return;
-          // Column-major batch (see DataSpaceClassifier::classify).
-          assembler.assemble_feature_cols(coords.data(), pending,
-                                          features.data(), kBatch);
-          flat.forward_batch_cols(features.data(), kBatch, pending,
-                                  scores.data(), scratch);
-          emit(flush_base, pending, scores.data());
-          flush_base += static_cast<std::size_t>(pending);
-          pending = 0;
-        };
-        for (int k = static_cast<int>(k0); k < static_cast<int>(k1); ++k) {
-          for (int j = 0; j < d.y; ++j) {
-            for (int i = 0; i < d.x; ++i) {
-              coords[pending] = {i, j, k};
-              if (++pending == kBatch) flush();
-            }
-          }
-        }
-        flush();
-      });
-}
-
-}  // namespace
 
 MultiClassClassifier::MultiClassClassifier(int num_classes, int num_steps,
                                            double value_lo, double value_hi,
@@ -129,15 +79,14 @@ VolumeF MultiClassClassifier::class_certainty(const VolumeF& volume,
   const FeatureContext ctx = context_for(volume, step);
   const FeatureBlockAssembler assembler(config_.spec, ctx);
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
-  batched_sweep(d, assembler, *flat, num_classes_,
-                [&](std::size_t base, int rows, const double* scores) {
-                  for (int r = 0; r < rows; ++r) {
-                    out[base + static_cast<std::size_t>(r)] =
-                        static_cast<float>(
-                            scores[static_cast<std::size_t>(r) * num_classes_ +
-                                   class_id]);
-                  }
-                });
+  classify_volume_sweep(
+      d, assembler, *flat,
+      [&](std::size_t base, int rows, const double* scores) {
+        for (int r = 0; r < rows; ++r) {
+          out[base + static_cast<std::size_t>(r)] = static_cast<float>(
+              scores[static_cast<std::size_t>(r) * num_classes_ + class_id]);
+        }
+      });
   return out;
 }
 
@@ -148,8 +97,8 @@ Volume<std::uint8_t> MultiClassClassifier::label_volume(const VolumeF& volume,
   const FeatureContext ctx = context_for(volume, step);
   const FeatureBlockAssembler assembler(config_.spec, ctx);
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
-  batched_sweep(
-      d, assembler, *flat, num_classes_,
+  classify_volume_sweep(
+      d, assembler, *flat,
       [&](std::size_t base, int rows, const double* scores) {
         for (int r = 0; r < rows; ++r) {
           const double* row =

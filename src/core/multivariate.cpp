@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "parallel/thread_pool.hpp"
+#include "core/sweep.hpp"
 #include "util/error.hpp"
 
 namespace ifet {
@@ -85,40 +85,55 @@ MultivariateBlockAssembler::MultivariateBlockAssembler(
                 std::max(1, context_.num_steps - 1);
 }
 
-void MultivariateBlockAssembler::assemble_feature_block(const Index3* voxels,
-                                                        int count,
-                                                        double* out) const {
+void MultivariateBlockAssembler::assemble_feature_cols(const Index3* voxels,
+                                                       int count, double* out,
+                                                       int ld) const {
   IFET_REQUIRE(count == 0 || (voxels != nullptr && out != nullptr),
-               "assemble_feature_block: null block buffer");
-  for (int v = 0; v < count; ++v) {
-    const int i = voxels[v].x;
-    const int j = voxels[v].y;
-    const int k = voxels[v].z;
-    double* row = out + static_cast<std::size_t>(v) * width_;
-    for (int var = 0; var < spec_.num_variables; ++var) {
-      const VolumeF& field =
-          *context_.variables[static_cast<std::size_t>(var)];
-      const double lo = lo_[static_cast<std::size_t>(var)];
-      const double span = span_[static_cast<std::size_t>(var)];
-      if (spec_.use_value) {
-        *row++ = clamp((field.clamped(i, j, k) - lo) / span, 0.0, 1.0);
+               "assemble_feature_cols: null block buffer");
+  IFET_REQUIRE(ld >= count, "assemble_feature_cols: ld shorter than batch");
+  double* col = out;
+  auto next_col = [&] {
+    double* c = col;
+    col += ld;
+    return c;
+  };
+  for (int var = 0; var < spec_.num_variables; ++var) {
+    const VolumeF& field = *context_.variables[static_cast<std::size_t>(var)];
+    const double lo = lo_[static_cast<std::size_t>(var)];
+    const double span = span_[static_cast<std::size_t>(var)];
+    if (spec_.use_value) {
+      double* c = next_col();
+      for (int v = 0; v < count; ++v) {
+        const Index3 p = voxels[v];
+        c[v] = clamp((field.clamped(p.x, p.y, p.z) - lo) / span, 0.0, 1.0);
       }
-      if (spec_.use_shell) {
-        for (const Vec3& off : shell_dirs_) {
-          *row++ = clamp(
-              (field.sample(i + off.x, j + off.y, k + off.z) - lo) / span,
+    }
+    if (spec_.use_shell) {
+      for (const Vec3& off : shell_dirs_) {
+        double* c = next_col();
+        for (int v = 0; v < count; ++v) {
+          const Index3 p = voxels[v];
+          c[v] = clamp(
+              (field.sample(p.x + off.x, p.y + off.y, p.z + off.z) - lo) /
+                  span,
               0.0, 1.0);
         }
       }
     }
-    if (spec_.use_position) {
-      *row++ = static_cast<double>(i) / den_x_;
-      *row++ = static_cast<double>(j) / den_y_;
-      *row++ = static_cast<double>(k) / den_z_;
+  }
+  if (spec_.use_position) {
+    double* cx = next_col();
+    double* cy = next_col();
+    double* cz = next_col();
+    for (int v = 0; v < count; ++v) {
+      cx[v] = static_cast<double>(voxels[v].x) / den_x_;
+      cy[v] = static_cast<double>(voxels[v].y) / den_y_;
+      cz[v] = static_cast<double>(voxels[v].z) / den_z_;
     }
-    if (spec_.use_time) {
-      *row++ = time_value_;
-    }
+  }
+  if (spec_.use_time) {
+    double* c = next_col();
+    for (int v = 0; v < count; ++v) c[v] = time_value_;
   }
 }
 
@@ -191,41 +206,8 @@ VolumeF MultivariateClassifier::classify(
   VolumeF out(d);
   const MultivariateBlockAssembler assembler(config_.spec, ctx);
   const std::shared_ptr<const FlatMlp> flat = flat_cache_.get(network_);
-  const int width = assembler.width();
-  constexpr int kBatch = DataSpaceClassifier::kClassifyBatchSize;
-  parallel_for_ranges(
-      0, static_cast<std::size_t>(d.z), [&](std::size_t k0, std::size_t k1) {
-        // Per-worker batch buffers; the x-fastest sweep makes each flush a
-        // contiguous span of linear indices (see DataSpaceClassifier).
-        FlatMlp::Scratch scratch;
-        std::vector<Index3> coords(kBatch);
-        std::vector<double> features(static_cast<std::size_t>(kBatch) * width);
-        std::vector<double> certainty(kBatch);
-        int pending = 0;
-        std::size_t flush_base = out.linear_index(0, 0, static_cast<int>(k0));
-        auto flush = [&] {
-          if (pending == 0) return;
-          assembler.assemble_feature_block(coords.data(), pending,
-                                           features.data());
-          flat->forward_batch(features.data(), pending, certainty.data(),
-                              scratch);
-          for (int r = 0; r < pending; ++r) {
-            out[flush_base + static_cast<std::size_t>(r)] =
-                static_cast<float>(certainty[r]);
-          }
-          flush_base += static_cast<std::size_t>(pending);
-          pending = 0;
-        };
-        for (int k = static_cast<int>(k0); k < static_cast<int>(k1); ++k) {
-          for (int j = 0; j < d.y; ++j) {
-            for (int i = 0; i < d.x; ++i) {
-              coords[pending] = {i, j, k};
-              if (++pending == kBatch) flush();
-            }
-          }
-        }
-        flush();
-      });
+  classify_volume_sweep(d, assembler, *flat,
+                        store_certainty(out.data().data()));
   return out;
 }
 

@@ -53,10 +53,11 @@ std::vector<double> assemble_multivariate_vector(
 
 /// Batched multivariate feature assembly — FeatureBlockAssembler's
 /// multivariate sibling. Construction hoists the shell-direction table and
-/// the per-variable normalization lo/span out of the voxel loop; each row
-/// written by assemble_feature_block is bitwise identical to
-/// assemble_multivariate_vector for the same voxel. Borrows the context's
-/// volumes; they must outlive the assembler. Const and thread-sharable.
+/// the per-variable normalization lo/span out of the voxel loop; each
+/// column written by assemble_feature_cols is bitwise identical to the
+/// matching component of assemble_multivariate_vector for the same voxel.
+/// Borrows the context's volumes; they must outlive the assembler. Const
+/// and thread-sharable.
 class MultivariateBlockAssembler {
  public:
   MultivariateBlockAssembler(const MultivariateSpec& spec,
@@ -64,9 +65,10 @@ class MultivariateBlockAssembler {
 
   int width() const { return width_; }
 
-  /// Assemble `count` voxels into `out`, a count x width() row-major block.
-  void assemble_feature_block(const Index3* voxels, int count,
-                              double* out) const;
+  /// Column-major batch for FlatMlp::forward_batch_cols: component c of
+  /// voxel v lands at out[c*ld + v] (ld >= count).
+  void assemble_feature_cols(const Index3* voxels, int count, double* out,
+                             int ld) const;
 
  private:
   MultivariateSpec spec_;

@@ -131,11 +131,6 @@ class ThreadPool::ScopedGlobalWidth {
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 
-/// Convenience: range-based parallel loop on the global pool.
-void parallel_for_ranges(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& range_body);
-
 /// Parallel reduction: each worker folds its range into a local accumulator
 /// seeded with `identity`; partials are combined with `combine` in
 /// deterministic (range-order) sequence.

@@ -1,5 +1,7 @@
 #include "stream/derived_cache.hpp"
 
+#include <type_traits>
+
 #include "util/hot_path.hpp"
 
 namespace ifet {
@@ -20,12 +22,15 @@ std::shared_ptr<const T> DerivedCache::get_or_compute(
   {
     OrderedMutexLock lock(mutex_);
     auto it = (this->*map).find(key);
-    if (it != (this->*map).end()) {
-      ++stats_.derived_hits;
+    const bool hit = it != (this->*map).end();
+    ++(hit ? stats_.derived_hits : stats_.derived_misses);
+    if constexpr (std::is_same_v<T, TransferFunction1D>) {
+      ++(hit ? stats_.derived_tf_hits : stats_.derived_tf_misses);
+    }
+    if (hit) {
       if (session_stats != nullptr) session_stats->count_derived(true);
       return it->second;
     }
-    ++stats_.derived_misses;
   }
   if (session_stats != nullptr) session_stats->count_derived(false);
   auto value = std::make_shared<const T>(compute());

@@ -95,7 +95,8 @@ class DerivedCache {
 
   std::size_t size() const IFET_EXCLUDES(mutex_);
 
-  /// Counter snapshot (derived_hits / derived_misses).
+  /// Counter snapshot: derived_hits / derived_misses over every product
+  /// kind, and derived_tf_hits / derived_tf_misses for transfer functions.
   StreamStats stats() const IFET_EXCLUDES(mutex_);
 
  private:

@@ -57,6 +57,8 @@ StreamStats& StreamStats::merge(const StreamStats& other) {
   demand_loads += other.demand_loads;
   derived_hits += other.derived_hits;
   derived_misses += other.derived_misses;
+  derived_tf_hits += other.derived_tf_hits;
+  derived_tf_misses += other.derived_tf_misses;
   if (other.budget_bytes != 0) budget_bytes = other.budget_bytes;
   if (other.bytes_resident != 0) bytes_resident = other.bytes_resident;
   peak_bytes_resident = std::max(peak_bytes_resident,

@@ -33,6 +33,13 @@ struct StreamStats {
   // synthesized transfer functions).
   std::uint64_t derived_hits = 0;
   std::uint64_t derived_misses = 0;
+  // The transfer-function share of the two above. Histogram products are
+  // keyed by bins and range alone, so one client's repeated reads of a
+  // step hit its own earlier reads; TFs are keyed by the network state,
+  // which every training run moves, so their hits mostly come from
+  // clients sharing a training state (the server's cross-client dedup).
+  std::uint64_t derived_tf_hits = 0;
+  std::uint64_t derived_tf_misses = 0;
 
   // Residency (bytes of decoded volume payload).
   std::size_t budget_bytes = 0;         ///< 0 = unlimited.

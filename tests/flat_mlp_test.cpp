@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/iatf.hpp"
 #include "core/multiclass.hpp"
 #include "core/multivariate.hpp"
+#include "core/sweep.hpp"
 #include "flowsim/datasets.hpp"
 #include "nn/flat_mlp.hpp"
 #include "nn/mlp.hpp"
@@ -253,34 +256,96 @@ std::vector<PaintedVoxel> paint_box(Index3 lo, Index3 hi, int step,
   return out;
 }
 
-TEST(ConsumerParity, AssembleColsMatchesRowBlockBitwise) {
+// Every column of `voxels`, assembled in batches of `batch` voxels, must
+// equal the scalar assemble_feature_vector component bit for bit.
+void expect_cols_match_vector(const VolumeF& v, const FeatureVectorSpec& spec,
+                              const std::vector<Index3>& voxels, int batch) {
+  const FeatureContext ctx{&v, 2, 5, 0.0, 1.0};
+  const FeatureBlockAssembler assembler(spec, ctx);
+  const int w = assembler.width();
+  const int ld = batch + 5;
+  std::vector<double> cols(static_cast<std::size_t>(ld) * w);
+  const int total = static_cast<int>(voxels.size());
+  for (int b0 = 0; b0 < total; b0 += batch) {
+    const int n = std::min(batch, total - b0);
+    std::fill(cols.begin(), cols.end(), -1.0);
+    assembler.assemble_feature_cols(voxels.data() + b0, n, cols.data(), ld);
+    for (int r = 0; r < n; ++r) {
+      const Index3 p = voxels[static_cast<std::size_t>(b0 + r)];
+      const std::vector<double> ref =
+          assemble_feature_vector(spec, ctx, p.x, p.y, p.z);
+      ASSERT_EQ(ref.size(), static_cast<std::size_t>(w));
+      for (int c = 0; c < w; ++c) {
+        const double got = cols[static_cast<std::size_t>(c) * ld + r];
+        ASSERT_EQ(std::memcmp(&got, &ref[static_cast<std::size_t>(c)],
+                              sizeof(double)),
+                  0)
+            << "dims " << v.dims().x << "x" << v.dims().y << "x"
+            << v.dims().z << " voxel (" << p.x << "," << p.y << "," << p.z
+            << ") component " << c << ": " << got << " vs "
+            << ref[static_cast<std::size_t>(c)];
+      }
+    }
+  }
+}
+
+std::vector<Index3> x_fastest_voxels(const Dims& d) {
+  std::vector<Index3> voxels;
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) voxels.push_back({i, j, k});
+    }
+  }
+  return voxels;
+}
+
+TEST(ConsumerParity, AssembleColsMatchesScalarVectorBitwise) {
   const Dims d{13, 11, 9};
   VolumeF v = testing::random_volume(d, 37);
   FeatureVectorSpec spec;  // defaults: value + 14-shell + position + time
   spec.use_gradient = true;
-  FeatureContext ctx{&v, 2, 5, 0.0, 1.0};
-  const FeatureBlockAssembler assembler(spec, ctx);
-  const int w = assembler.width();
 
-  // Voxel list with heavy border coverage (every corner/edge region).
+  // Strided voxel list with heavy border coverage (every corner/edge
+  // region): runs of length one, each through the clamped-x edge path.
   std::vector<Index3> voxels;
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; j += 2) {
       for (int i = 0; i < d.x; i += 3) voxels.push_back({i, j, k});
     }
   }
-  const int n = static_cast<int>(voxels.size());
-  const int ld = n + 5;
-  std::vector<double> rows(static_cast<std::size_t>(n) * w);
-  std::vector<double> cols(static_cast<std::size_t>(ld) * w, -1.0);
-  assembler.assemble_feature_block(voxels.data(), n, rows.data());
-  assembler.assemble_feature_cols(voxels.data(), n, cols.data(), ld);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < w; ++c) {
-      ASSERT_EQ(cols[static_cast<std::size_t>(c) * ld + r],
-                rows[static_cast<std::size_t>(r) * w + c])
-          << "voxel " << r << " component " << c;
-    }
+  expect_cols_match_vector(v, spec, voxels,
+                           static_cast<int>(voxels.size()));
+  // Consecutive x on different rows (y or z steps) are separate runs.
+  std::vector<Index3> stairs;
+  for (int i = 0; i < d.x; ++i) stairs.push_back({i, i % d.y, 0});
+  for (int i = 0; i < d.x; ++i) stairs.push_back({i, 0, i % d.z});
+  expect_cols_match_vector(v, spec, stairs, static_cast<int>(stairs.size()));
+
+  // The sweep's x-fastest order in its 256-voxel batches: whole-row runs,
+  // each split into an in-range span and clamped ends.
+  struct Case {
+    Dims d;
+    double radius;
+    int shell_samples;
+  };
+  const Case cases[] = {
+      {d, 3.0, 14},
+      // Narrower than the shell's reach in x: no run has an in-range span.
+      {{5, 7, 9}, 6.0, 26},
+      // Width-1 axes: every corner on that axis is clamped.
+      {{1, 6, 7}, 2.0, 14},
+      {{6, 1, 7}, 2.0, 14},
+      {{6, 7, 1}, 2.0, 14},
+      // Batches split rows mid-run.
+      {{37, 9, 4}, 3.0, 26},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.d.x << "x" << c.d.y << "x"
+                                      << c.d.z << " r" << c.radius);
+    const VolumeF cv = testing::random_volume(c.d, 71);
+    spec.shell_radius = c.radius;
+    spec.shell_samples = c.shell_samples;
+    expect_cols_match_vector(cv, spec, x_fastest_voxels(c.d), kSweepBatch);
   }
 }
 
@@ -305,35 +370,75 @@ TEST(ConsumerParity, ClassifyMatchesScalarReferenceBitwise) {
     EXPECT_EQ(batched.at(2, 3, k),
               static_cast<float>(clf.classify_voxel(v, 1, 2, 3, k)));
   }
+
+  // Border shapes of the assembler's edge path: no in-range x-span (5 wide
+  // at radius 6), a width-1 axis, and rows split by batches (d.x = 37).
+  struct Case {
+    Dims d;
+    double radius;
+  };
+  const Case cases[] = {{{5, 7, 9}, 6.0}, {{1, 6, 7}, 2.0}, {{37, 5, 3}, 3.0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.d.x << "x" << c.d.y << "x"
+                                      << c.d.z);
+    const VolumeF cv = testing::random_volume(c.d, 23);
+    DataSpaceConfig ccfg;
+    ccfg.spec.shell_radius = c.radius;
+    DataSpaceClassifier cclf(1, 0.0, 1.0, ccfg);
+    const Index3 far{c.d.x - 1, c.d.y - 1, c.d.z - 1};
+    cclf.add_samples(cv, 0, paint_box({0, 0, 0}, {0, 1, 1}, 0, 1.0));
+    cclf.add_samples(cv, 0, paint_box(far, far, 0, 0.0));
+    cclf.train(10);
+    const VolumeF cb = cclf.classify(cv, 0);
+    const VolumeF cs = cclf.classify_scalar(cv, 0);
+    ASSERT_EQ(cb.size(), cs.size());
+    EXPECT_EQ(std::memcmp(cb.data().data(), cs.data().data(),
+                          cb.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(ConsumerParity, ClassifySliceMatchesVoxelProbe) {
-  const Dims d{8, 10, 12};
-  VolumeF v = testing::random_volume(d, 16);
-  DataSpaceClassifier clf(1, 0.0, 1.0);
-  clf.add_samples(v, 0, paint_box({0, 0, 0}, {1, 1, 1}, 0, 1.0));
-  clf.train(10);
-  for (int axis : {0, 1, 2}) {
-    const int slice = 2;
-    auto img = clf.classify_slice(v, 0, axis, slice);
-    int width = 0, height = 0;
-    switch (axis) {
-      case 0: width = d.y; height = d.z; break;
-      case 1: width = d.x; height = d.z; break;
-      default: width = d.x; height = d.y; break;
-    }
-    ASSERT_EQ(img.size(), static_cast<std::size_t>(width) * height);
-    for (int row = 0; row < height; row += 3) {
-      for (int col = 0; col < width; col += 3) {
-        int i = 0, j = 0, k = 0;
-        switch (axis) {
-          case 0: i = slice; j = col; k = row; break;
-          case 1: i = col; j = slice; k = row; break;
-          default: i = col; j = row; k = slice; break;
+  struct Case {
+    Dims d;
+    double radius;
+  };
+  // The last case is narrower than the shell's reach on every axis.
+  const Case cases[] = {{{8, 10, 12}, 3.0}, {{5, 7, 9}, 6.0}};
+  for (const Case& c : cases) {
+    const Dims d = c.d;
+    VolumeF v = testing::random_volume(d, 16);
+    DataSpaceConfig cfg;
+    cfg.spec.shell_radius = c.radius;
+    DataSpaceClassifier clf(1, 0.0, 1.0, cfg);
+    clf.add_samples(v, 0, paint_box({0, 0, 0}, {1, 1, 1}, 0, 1.0));
+    clf.train(10);
+    for (int axis : {0, 1, 2}) {
+      int width = 0, height = 0, extent = 0;
+      switch (axis) {
+        case 0: width = d.y; height = d.z; extent = d.x; break;
+        case 1: width = d.x; height = d.z; extent = d.y; break;
+        default: width = d.x; height = d.y; extent = d.z; break;
+      }
+      for (int slice : {0, 2, extent - 1}) {
+        auto img = clf.classify_slice(v, 0, axis, slice);
+        ASSERT_EQ(img.size(), static_cast<std::size_t>(width) * height);
+        for (int row = 0; row < height; ++row) {
+          for (int col = 0; col < width; ++col) {
+            int i = 0, j = 0, k = 0;
+            switch (axis) {
+              case 0: i = slice; j = col; k = row; break;
+              case 1: i = col; j = slice; k = row; break;
+              default: i = col; j = row; k = slice; break;
+            }
+            const float expected =
+                static_cast<float>(clf.classify_voxel(v, 0, i, j, k));
+            const float got = img[static_cast<std::size_t>(row) * width + col];
+            ASSERT_EQ(std::memcmp(&got, &expected, sizeof(float)), 0)
+                << "dims " << d.x << "x" << d.y << "x" << d.z << " axis "
+                << axis << " (" << i << "," << j << "," << k << ")";
+          }
         }
-        EXPECT_EQ(img[static_cast<std::size_t>(row) * width + col],
-                  static_cast<float>(clf.classify_voxel(v, 0, i, j, k)))
-            << "axis " << axis << " (" << i << "," << j << "," << k << ")";
       }
     }
   }
@@ -476,17 +581,29 @@ TEST(AllocationContract, WarmClassifyAllocationsAreBoundedPerCall) {
   DataSpaceClassifier clf(1, 0.0, 1.0);
   clf.add_samples(v, 0, paint_box({2, 2, 2}, {4, 4, 4}, 0, 1.0));
   clf.train(20);
-  (void)clf.classify(v, 0);  // warm: builds the flat engine into the cache
-
-  DenyAllocScope guard;
-  (void)clf.classify(v, 0);
-  const std::size_t per_call = guard.allocations();
+  auto per_call = [&clf](const VolumeF& volume) {
+    (void)clf.classify(volume, 0);  // warm: builds the flat engine
+    DenyAllocScope guard;
+    (void)clf.classify(volume, 0);
+    return guard.allocations();
+  };
   // Per call: the output volume, the assembler's direction table, a handful
-  // of per-worker batch buffers, and the pool's task plumbing — all
+  // of per-task batch buffers, and the pool's task plumbing — all
   // independent of the 4096 voxels classified. The bound scales with the
   // worker count, never with the voxel count.
   const std::size_t bound = 128 + 64 * ThreadPool::global().size();
-  EXPECT_LE(per_call, bound);
+  EXPECT_LE(per_call(v), bound);
+
+  // Taller volumes are more sweep chunks (4 and 16 here), but the batch
+  // buffers are allocated per task, not per chunk: at a fixed pool width
+  // the count does not grow with d.z. A task that finds no chunk left
+  // skips its FlatMlp::Scratch warm-up (two buffers), hence the slack.
+  const VolumeF tall = testing::random_volume(Dims{16, 16, 64}, 56);
+  const VolumeF taller = testing::random_volume(Dims{16, 16, 256}, 57);
+  EXPECT_LE(per_call(tall), bound);
+  ThreadPool::ScopedGlobalWidth width(2);
+  const std::size_t tasks = 3;  // pool width + the calling thread
+  EXPECT_LE(per_call(taller), per_call(tall) + 2 * tasks);
 }
 
 }  // namespace

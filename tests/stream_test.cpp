@@ -287,6 +287,9 @@ TEST(DerivedCache, MemoizesPerStepAndParams) {
   EXPECT_EQ(computes, 3);
   EXPECT_EQ(cache.stats().derived_hits, 1u);
   EXPECT_EQ(cache.stats().derived_misses, 3u);
+  // Histogram lookups are not part of the transfer-function share.
+  EXPECT_EQ(cache.stats().derived_tf_hits, 0u);
+  EXPECT_EQ(cache.stats().derived_tf_misses, 0u);
 }
 
 TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
@@ -304,6 +307,8 @@ TEST(DerivedCache, TransferFunctionsShareAcrossCriteria) {
   a.accept(1, 0.7);
   b.accept(1, 0.7);  // second criterion reuses the memoized TF
   EXPECT_EQ(derived.stats().derived_hits, 1u);
+  EXPECT_EQ(derived.stats().derived_tf_hits, 1u);
+  EXPECT_EQ(derived.stats().derived_tf_misses, 1u);
 }
 
 TEST(Iatf, ParamsHashChangesWithTraining) {

@@ -18,7 +18,8 @@
 #      build/ci_determinism_lint.json (docs/STATIC_ANALYSIS.md)
 #   4. asan-ubsan preset: configure, build, full ctest under ASan+UBSan
 #      with IFET_DEBUG_ASSERT checks and the OrderedMutex lock-order
-#      validator on
+#      validator on, then bench_perf_classify --replay-check-only
+#      (bounds-checks the feature assembler's border reads)
 #   5. tsan preset: build + run the streaming/concurrency stress tests
 #      (the CacheManager/Prefetcher, fault-storm, thread-pool, and
 #      multi-tenant-server race detectors), server_test, stream_test and
@@ -165,9 +166,13 @@ stage_determinism_lint() {
 }
 
 stage_asan() {
+  # After ctest, the classify replay: the shells of its 32^3 volume cross
+  # every face, so ASan bounds-checks the feature assembler's in-place
+  # clamped edge reads at pool widths {1, 4, hw}.
   cmake --preset asan-ubsan &&
     cmake --build --preset asan-ubsan -j "$JOBS" &&
-    ctest --preset asan-ubsan -j "$JOBS"
+    ctest --preset asan-ubsan -j "$JOBS" &&
+    "$ROOT/build-asan-ubsan/bench/bench_perf_classify" --replay-check-only
 }
 
 stage_tsan() {
