@@ -1,22 +1,20 @@
-// Section 7 performance reproduction: rendering rates.
+// Section 7 rendering gates: the correctness contracts of the brick ray
+// caster. Throughput at the paper's operating point (256^3 volume into a
+// 512^2 window, IATF recalculated per frame, tracking overlay) is measured
+// end to end by perfbench's playback_256 workload; this binary only checks.
 //
-// Paper (GeForce 6800 GT): 6 fps for a 256^3 volume into a 512^2 window
-// with the adaptive transfer function recalculated every frame and shading
-// on; 4 fps when the tracked feature is rendered on top (multi-pass).
-//
-// Our renderer is a CPU ray caster, so absolute fps differ; what must
-// reproduce is the *structure* of the costs: per-frame IATF recalculation
-// is negligible next to the rendering itself, and the highlight overlay
-// costs a modest constant factor (paper: 6 -> 4 fps, i.e. 1.5x).
-#include <benchmark/benchmark.h>
-
+// Gates (exit nonzero on failure):
+//   - a warm Raycaster::render_rows makes zero heap allocations and is
+//     bitwise identical to render();
+//   - perturbed replay: frames and RenderStats counters digest identically
+//     across pool widths, cache temperatures and row-chunk orders;
+//   - empty-space skipping is bitwise identical to the scalar march on the
+//     64^3 fixture, and at half-voxel sampling on a TF-sparse 128^3 scene.
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <numeric>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,7 +25,6 @@
 #include "stream/streamed_sequence.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/determinism.hpp"
-#include "util/timer.hpp"
 #include "volume/ops.hpp"
 
 // Counting operator new/delete for this binary so the steady-state check
@@ -88,95 +85,6 @@ RenderSettings settings_for(int image_size, bool shading) {
   s.shading = shading;
   return s;
 }
-
-/// Paper Sec 7 paragraph 2: shaded rendering, IATF recalculated per frame.
-void BM_RenderShadedWithIatfRecalc(benchmark::State& state) {
-  RenderFixture& f = fixture();
-  const int size = static_cast<int>(state.range(0));
-  Raycaster caster(settings_for(size, true));
-  Camera camera(0.5, 0.35, 2.4);
-  for (auto _ : state) {
-    TransferFunction1D frame_tf = f.iatf->evaluate(225);  // per frame!
-    ImageRgb8 img =
-        caster.render(f.volume, frame_tf, ColorMap(), camera);
-    benchmark::DoNotOptimize(img.pixels.data());
-  }
-  state.counters["fps"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_RenderShadedWithIatfRecalc)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-/// The same frame without the per-frame IATF evaluation: the difference is
-/// the cost of the paper's "adaptive transfer function recalculated every
-/// frame" — which must be negligible.
-void BM_RenderShadedStaticTf(benchmark::State& state) {
-  RenderFixture& f = fixture();
-  const int size = static_cast<int>(state.range(0));
-  Raycaster caster(settings_for(size, true));
-  Camera camera(0.5, 0.35, 2.4);
-  for (auto _ : state) {
-    ImageRgb8 img = caster.render(f.volume, *f.tf, ColorMap(), camera);
-    benchmark::DoNotOptimize(img.pixels.data());
-  }
-  state.counters["fps"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_RenderShadedStaticTf)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-/// Paper Sec 7 paragraph 3: the feature-tracking overlay pass (region-
-/// growing texture consulted per sample, tracked voxels drawn red).
-void BM_RenderWithTrackingOverlay(benchmark::State& state) {
-  RenderFixture& f = fixture();
-  const int size = static_cast<int>(state.range(0));
-  Raycaster caster(settings_for(size, true));
-  Camera camera(0.5, 0.35, 2.4);
-  HighlightLayer layer{f.mask.get(), f.tf.get(), Rgb{0.9, 0.05, 0.05}};
-  for (auto _ : state) {
-    ImageRgb8 img =
-        caster.render(f.volume, *f.tf, ColorMap(), camera, &layer);
-    benchmark::DoNotOptimize(img.pixels.data());
-  }
-  state.counters["fps"] =
-      benchmark::Counter(static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_RenderWithTrackingOverlay)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-/// IATF evaluation alone (the "sub-seconds per step" claim of Sec 5):
-/// synthesizing the 256-entry TF for a step whose cumulative histogram is
-/// resident. Cycles over a working set that fits the sequence cache so the
-/// measurement isolates network evaluation, not volume regeneration.
-void BM_IatfEvaluatePerStep(benchmark::State& state) {
-  RenderFixture& f = fixture();
-  const int steps[] = {195, 225, 255};
-  // Warm the cumulative-histogram cache.
-  for (int s : steps) f.iatf->evaluate(s);
-  int i = 0;
-  for (auto _ : state) {
-    TransferFunction1D tf = f.iatf->evaluate(steps[i]);
-    benchmark::DoNotOptimize(tf.opacity_entry(0));
-    i = (i + 1) % 3;
-  }
-}
-BENCHMARK(BM_IatfEvaluatePerStep)->Unit(benchmark::kMicrosecond);
-
-/// Unshaded rendering, for the shading-cost factor.
-void BM_RenderUnshaded(benchmark::State& state) {
-  RenderFixture& f = fixture();
-  const int size = static_cast<int>(state.range(0));
-  Raycaster caster(settings_for(size, false));
-  Camera camera(0.5, 0.35, 2.4);
-  for (auto _ : state) {
-    ImageRgb8 img = caster.render(f.volume, *f.tf, ColorMap(), camera);
-    benchmark::DoNotOptimize(img.pixels.data());
-  }
-}
-BENCHMARK(BM_RenderUnshaded)->Arg(128)->Unit(benchmark::kMillisecond);
 
 /// Steady-state contract on the IFET_HOT ray loop: once a frame's Plan and
 /// destination image exist, Raycaster::render_rows must march every row
@@ -245,12 +153,12 @@ int check_render_rows_contract() {
 bool skip_matches_scalar(const RenderSettings& base, const VolumeF& volume,
                          const TransferFunction1D& tf, const ColorMap& colors,
                          const Camera& camera, const HighlightLayer* highlight,
-                         const char* name, RenderStats* skip_stats = nullptr) {
+                         const char* name) {
   RenderSettings with = base, without = base;
   with.empty_space_skipping = true;
   without.empty_space_skipping = false;
-  const ImageRgb8 skipped = Raycaster(with).render(volume, tf, colors, camera,
-                                                   highlight, skip_stats);
+  const ImageRgb8 skipped =
+      Raycaster(with).render(volume, tf, colors, camera, highlight);
   const ImageRgb8 scalar =
       Raycaster(without).render(volume, tf, colors, camera, highlight);
   if (skipped.pixels.size() != scalar.pixels.size() ||
@@ -358,34 +266,12 @@ int run_replay_check() {
   return report.ok ? 0 : 1;
 }
 
-/// Median frame time over `reps` full render_step() calls against a warm
-/// sequence: the product configuration, where brick metadata comes from
-/// ingest (or the sequence memo), never a per-frame volume pass. Per-frame
-/// TF classification IS included — it recurs every frame.
-double frame_time_p50(const Raycaster& caster, const VolumeSequence& sequence,
-                      const TransferFunction1D& tf, const ColorMap& colors,
-                      const Camera& camera) {
-  constexpr int kReps = 7;
-  std::vector<double> seconds;
-  seconds.reserve(kReps);
-  for (int r = 0; r < kReps; ++r) {
-    Stopwatch timer;
-    ImageRgb8 img = caster.render_step(sequence, 0, tf, colors, camera,
-                                       nullptr, nullptr,
-                                       /*prefetch_next=*/false);
-    benchmark::DoNotOptimize(img.pixels.data());
-    seconds.push_back(timer.seconds());
-  }
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[kReps / 2];
-}
-
-/// The perf contract of the brick overhaul, on a TF-sparse 128^3 scene
-/// (the argon ring occupies a thin shell, so most bricks classify empty):
-/// bitwise-identical frames across all variants AND a >= 2x median
-/// frame-time speedup, reported machine-readably. Nonzero exit on image
-/// mismatch, like bench_perf_classify's parity gate.
-int write_render_report(const char* path) {
+/// Brick-skipping equivalence at the quality setting for shaded stills,
+/// half-voxel sampling, on a TF-sparse 128^3 scene (the argon ring occupies
+/// a thin shell, so most bricks classify empty). The skip condition is
+/// step-size independent (bricks are clipped analytically), so finer
+/// marching only grows the work the clip removes, never the pixels.
+int check_half_step_equivalence() {
   ArgonBubbleConfig cfg;
   cfg.dims = Dims{128, 128, 128};
   cfg.num_steps = 360;
@@ -401,114 +287,37 @@ int write_render_report(const char* path) {
   const Camera camera(0.5, 0.35, 2.4);
 
   RenderSettings shaded = settings_for(128, true);
-  // Half-voxel sampling: the quality setting for shaded stills. The skip
-  // condition is step-size independent (bricks are clipped analytically),
-  // so finer marching only grows the work the clip removes.
   shaded.step_voxels = 0.5;
   RenderSettings mip = settings_for(128, false);
   mip.mode = CompositingMode::kMaximumIntensity;
   mip.step_voxels = 0.5;
   HighlightLayer layer{&mask, &tf, Rgb{0.9, 0.05, 0.05}};
-  RenderStats stats;
   if (!skip_matches_scalar(shaded, volume, tf, colors, camera, nullptr,
-                           "front-to-back shaded 128^3", &stats) ||
+                           "front-to-back shaded 128^3") ||
       !skip_matches_scalar(shaded, volume, tf, colors, camera, &layer,
                            "tracking overlay 128^3") ||
       !skip_matches_scalar(mip, volume, tf, colors, camera, nullptr,
                            "maximum intensity 128^3")) {
     return 1;
   }
-
-  // The steady-state frame loop renders through a sequence, as the session
-  // layer does: the decoded step and its brick index are resident after the
-  // first frame (on v2 containers the index additionally arrives from disk
-  // without a payload decode), so per-frame work is classification +
-  // marching — not index construction.
-  auto frame_source = std::make_shared<CallbackSource>(
-      cfg.dims, 1, source.value_range(),
-      [&volume](int) { return volume; });
-  StreamedSequence sequence(frame_source);
-  RenderSettings scalar_settings = shaded;
-  scalar_settings.empty_space_skipping = false;
-  const Raycaster skip_caster(shaded);
-  const Raycaster scalar_caster(scalar_settings);
-  // One warm-up pass each (decodes the step, memoizes the brick index),
-  // then the medians.
-  (void)frame_time_p50(scalar_caster, sequence, tf, colors, camera);
-  (void)frame_time_p50(skip_caster, sequence, tf, colors, camera);
-  const double scalar_p50 =
-      frame_time_p50(scalar_caster, sequence, tf, colors, camera);
-  const double skip_p50 =
-      frame_time_p50(skip_caster, sequence, tf, colors, camera);
-  const double speedup = scalar_p50 / skip_p50;
-
-  std::ofstream json(path);
-  json << "{\n"
-       << "  \"case\": \"argon_bubble_128_tf_sparse\",\n"
-       << "  \"grid\": [128, 128, 128],\n"
-       << "  \"image_size\": 128,\n"
-       << "  \"step_voxels\": 0.5,\n"
-       << "  \"frame_ms_p50_scalar\": " << scalar_p50 * 1e3 << ",\n"
-       << "  \"frame_ms_p50_skip\": " << skip_p50 * 1e3 << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"skip_rate\": " << stats.skip_rate() << ",\n"
-       << "  \"bricks_total\": " << stats.bricks_total << ",\n"
-       << "  \"bricks_active\": " << stats.bricks_active << ",\n"
-       << "  \"threads\": " << ThreadPool::global().size() << ",\n"
-       << "  \"bitwise_identical\": true\n"
-       << "}\n";
-  std::cout << "render report: scalar " << scalar_p50 * 1e3 << " ms, skip "
-            << skip_p50 * 1e3 << " ms, speedup " << speedup << "x, skip rate "
-            << stats.skip_rate() << " -> " << path << "\n";
+  std::cout << "equivalence check: empty-space skipping at step_voxels 0.5 "
+               "is bitwise equal to the scalar march on 128^3 across 3 "
+               "variants\n";
   return 0;
 }
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): after the google-benchmark run
-// (skippable with --render-check-only; --equiv-check-only runs just the
-// fast skip-vs-scalar parity gate, --replay-check-only just the perturbed
-// determinism replay) the binary verifies the row-kernel allocation
-// contract, the perturbed-replay determinism contract, and the
-// empty-space-skipping bitwise contract, then writes BENCH_render.json —
-// so CI gates on the hot ray loop staying heap-free, the brick path
-// staying bitwise faithful, and the speedup.
+// Every gate runs on each invocation; the exit status is nonzero if any
+// failed.
 int main(int argc, char** argv) {
-  bool check_only = false;
-  bool equiv_only = false;
-  bool replay_only = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--render-check-only") {
-      check_only = true;
-      continue;
-    }
-    if (std::string_view(argv[i]) == "--equiv-check-only") {
-      equiv_only = true;
-      continue;
-    }
-    if (std::string_view(argv[i]) == "--replay-check-only") {
-      replay_only = true;
-      continue;
-    }
-    args.push_back(argv[i]);
+  if (argc > 1) {
+    std::cerr << "usage: " << argv[0] << " (takes no options)\n";
+    return 2;
   }
-  if (replay_only) return run_replay_check();
-  if (equiv_only) return check_skip_equivalence();
-  if (!check_only) {
-    int filtered = static_cast<int>(args.size());
-    benchmark::Initialize(&filtered, args.data());
-    if (benchmark::ReportUnrecognizedArguments(filtered, args.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  const int rows_rc = check_render_rows_contract();
-  if (rows_rc != 0) return rows_rc;
-  const int replay_rc = run_replay_check();
-  if (replay_rc != 0) return replay_rc;
-  const int equiv_rc = check_skip_equivalence();
-  if (check_only || equiv_rc != 0) return equiv_rc;
-  return write_render_report("BENCH_render.json");
+  int rc = check_render_rows_contract();
+  rc |= run_replay_check();
+  rc |= check_skip_equivalence();
+  rc |= check_half_step_equivalence();
+  return rc;
 }

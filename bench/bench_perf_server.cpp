@@ -3,10 +3,9 @@
 // against each client running alone on an unlimited-budget tier.
 //
 // Each client is a closed loop on its session's strand: the completion
-// callback of command i submits command i+1, so the recorded latency is
-// service time (no self-inflicted queueing), while the N strands contend
-// for the shared cache, the admission quotas, and the derived-product
-// memoization the whole time.
+// callback of command i submits command i+1, so no client queues behind
+// itself, while the N strands contend for the shared cache, the admission
+// quotas, and the derived-product memoization the whole time.
 //
 // Shape claims (exit nonzero on failure):
 //   - every scripted command succeeds on every concurrent client;
@@ -19,18 +18,15 @@
 //   - no client's pinned bytes ever exceed its admission quota, and the
 //     quota visibly denied pins.
 //
-// Outputs: BENCH_server.json (p50/p99 latency, dedup rate, per-client
-// eviction fairness) plus CSV series under bench_out/ — the per-command
-// latency distribution and the cache-hit / dedup-hit trajectory sampled
-// while the storm ran.
+// The fleet is 4 clients over 8 steps of 16^3, sized to stay quick under
+// TSan. Command latency under a paper-size load is measured by perfbench's
+// server_mix_128 workload, which replays canonical_script below.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -44,7 +40,6 @@
 #include "bench_util.hpp"
 #include "server/session_manager.hpp"
 #include "stream/fault_injection.hpp"
-#include "util/csv.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "volume/sequence.hpp"
@@ -161,7 +156,6 @@ std::vector<Command> canonical_script(Dims dims, int steps) {
 struct ClientRun {
   int id = -1;
   std::vector<ServerResult> results;
-  std::vector<double> latency_ms;
 };
 
 /// Shared state of the closed-loop load generator.
@@ -174,10 +168,9 @@ struct LoadGen {
 };
 
 /// Submit command `index` of `run`'s script; the completion callback
-/// records the result and service latency, then chains the next command.
-/// The submit happens inside the strand's drain loop, so the queue never
-/// holds more than the in-flight command — recorded latency is service
-/// time, not queueing.
+/// records the result, then chains the next command. The submit happens
+/// inside the strand's drain loop, so the queue never holds more than the
+/// in-flight command.
 void submit_from(LoadGen& gen, ClientRun& run, std::size_t index) {
   if (index == gen.script.size()) {
     std::lock_guard<std::mutex> lock(gen.done_mutex);
@@ -185,17 +178,11 @@ void submit_from(LoadGen& gen, ClientRun& run, std::size_t index) {
     gen.done_cv.notify_all();
     return;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  gen.manager.submit(
-      run.id, gen.script[index],
-      [&gen, &run, index, t0](const ServerResult& r) {
-        run.results[index] = r;
-        run.latency_ms[index] =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        submit_from(gen, run, index + 1);
-      });
+  gen.manager.submit(run.id, gen.script[index],
+                     [&gen, &run, index](const ServerResult& r) {
+                       run.results[index] = r;
+                       submit_from(gen, run, index + 1);
+                     });
 }
 
 /// One client alone running `script` serially with no faults and an
@@ -204,7 +191,6 @@ struct SerialReference {
   bool ok = true;       ///< Every reference command succeeded.
   bool runs_ok = true;  ///< Every command of every run succeeded.
   bool bitwise = true;  ///< Every run matched the reference exactly.
-  std::vector<double> latency_ms;  ///< Reference service time per command.
 };
 
 /// Runs the serial reference and compares `runs` (anything with `id` and
@@ -215,14 +201,11 @@ SerialReference compare_with_serial_reference(
     Dims dims, int steps, const std::vector<Command>& script,
     const std::vector<std::unique_ptr<Run>>& runs) {
   SerialReference out;
-  out.latency_ms.assign(script.size(), 0.0);
   SessionManagerConfig iso;  // budget 0 = fully resident, no overload
   SessionManager manager(blob_source(dims, steps), iso);
   const int id = manager.create_session();
   for (std::size_t i = 0; i < script.size(); ++i) {
-    Stopwatch cmd_watch;
     const ServerResult reference = manager.execute(id, script[i]);
-    out.latency_ms[i] = cmd_watch.milliseconds();
     if (!reference.ok) out.ok = false;
     for (const auto& run : runs) {
       const ServerResult& result = run->results[i];
@@ -584,77 +567,24 @@ int run_overload(int clients, Dims dims, int steps) {
   }
   fair.print(std::cout);
 
-  std::ofstream json("BENCH_server_overload.json");
-  json << "{\n"
-       << "  \"clients\": " << clients << ",\n"
-       << "  \"steps\": " << steps << ",\n"
-       << "  \"storm_seconds\": " << storm_seconds << ",\n"
-       << "  \"script_submits\": " << script_submits << ",\n"
-       << "  \"script_retries\": " << script_retries << ",\n"
-       << "  \"spam_submits\": " << spam_submits << ",\n"
-       << "  \"spam_ok\": " << spam_ok << ",\n"
-       << "  \"spam_overloaded\": " << spam_overloaded << ",\n"
-       << "  \"spam_deadline\": " << spam_deadline << ",\n"
-       << "  \"commands_shed\": " << storm_stats.commands_shed << ",\n"
-       << "  \"commands_rejected\": " << storm_stats.commands_rejected
-       << ",\n"
-       << "  \"deadline_exceeded\": " << storm_stats.deadline_exceeded
-       << ",\n"
-       << "  \"pressure_enters\": " << pressure.enters << ",\n"
-       << "  \"pressure_exits\": " << pressure.exits << ",\n"
-       << "  \"derived_shed\": " << pressure.derived_shed << ",\n"
-       << "  \"pins_clamped\": " << pressure.pins_clamped << ",\n"
-       << "  \"pins_restored\": " << pressure.pins_restored << ",\n"
-       << "  \"watchdog_scans\": " << watchdog.scans << ",\n"
-       << "  \"watchdog_stuck\": " << watchdog.stuck_observations << ",\n"
-       << "  \"peak_queue_depth\": " << peak_depth_max << ",\n"
-       << "  \"script_p50_ms\": " << script_p50 << ",\n"
-       << "  \"script_p99_ms\": " << script_p99 << ",\n"
-       << "  \"spam_p50_ms\": " << spam_p50 << ",\n"
-       << "  \"spam_p99_ms\": " << spam_p99 << ",\n"
-       << "  \"bitwise_identical\": "
-       << (reference.bitwise ? "true" : "false") << ",\n"
-       << "  \"per_client\": [\n";
-  for (std::size_t k = 0; k < by_id.size(); ++k) {
-    const std::size_t c = by_id[k];
-    json << "    {\"client\": " << runs[c]->id
-         << ", \"shed\": " << client_stats[c].commands_shed
-         << ", \"rejected\": " << client_stats[c].commands_rejected
-         << ", \"deadline_exceeded\": " << client_stats[c].deadline_exceeded
-         << ", \"peak_depth\": " << queue_stats[c].peak_depth << "}"
-         << (k + 1 < by_id.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "overload report: shed " << storm_stats.commands_shed
-            << ", script p99 " << script_p99
-            << " ms -> BENCH_server_overload.json\n";
-
   return check.exit_code();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Defaults: 8 clients, 24^3 voxels, 12 steps. --smoke shrinks to the CI
-  // load (4 clients, 16^3, 8 steps — sized to stay quick under TSan);
-  // --clients=N overrides the fleet width either way.
-  int clients = 8;
-  Dims dims{24, 24, 24};
-  int steps = 12;
+  // The one fleet: 4 clients over 8 steps of 16^3, sized to stay quick
+  // under TSan. --smoke names that fleet and is still accepted.
+  const int clients = 4;
+  const Dims dims{16, 16, 16};
+  const int steps = 8;
   bool overload = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg == "--smoke") {
-      clients = 4;
-      dims = Dims{16, 16, 16};
-      steps = 8;
-    } else if (arg == "--overload") {
+    if (arg == "--overload") {
       overload = true;
-    } else if (arg.rfind("--clients=", 0) == 0) {
-      clients = std::max(1, std::atoi(arg.substr(10).data()));
-    } else {
-      std::cerr << "usage: bench_perf_server [--smoke] [--overload] "
-                   "[--clients=N]\n";
+    } else if (arg != "--smoke") {
+      std::cerr << "usage: bench_perf_server [--overload]\n";
       return 2;
     }
   }
@@ -682,10 +612,6 @@ int main(int argc, char** argv) {
   StreamStats storm_stats;
   std::size_t unique_entries = 0;
   std::size_t quota_steps = 0;
-  double storm_seconds = 0.0;
-  // Trajectory rows sampled while the storm runs: (ms, hits, misses,
-  // derived_hits, derived_misses).
-  std::vector<std::vector<double>> trajectory;
   {
     SessionManager manager(blob_source(dims, steps), shared_config);
     quota_steps = manager.tier().admission().quota_steps();
@@ -694,23 +620,8 @@ int main(int argc, char** argv) {
       auto run = std::make_unique<ClientRun>();
       run->id = manager.create_session();
       run->results.resize(script.size());
-      run->latency_ms.resize(script.size(), 0.0);
       runs.push_back(std::move(run));
     }
-
-    std::atomic<bool> sampling{true};
-    Stopwatch storm_watch;
-    std::thread sampler([&manager, &sampling, &trajectory, &storm_watch] {
-      while (sampling.load(std::memory_order_relaxed)) {
-        const StreamStats s = manager.tier().stats();
-        trajectory.push_back({storm_watch.milliseconds(),
-                              static_cast<double>(s.hits),
-                              static_cast<double>(s.misses),
-                              static_cast<double>(s.derived_hits),
-                              static_cast<double>(s.derived_misses)});
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
 
     for (auto& run : runs) submit_from(gen, *run, 0);
     {
@@ -719,9 +630,6 @@ int main(int argc, char** argv) {
         return gen.finished == runs.size();
       });
     }
-    storm_seconds = storm_watch.seconds();
-    sampling.store(false, std::memory_order_relaxed);
-    sampler.join();
     manager.drain_all();
 
     storm_stats = manager.tier().stats();
@@ -742,22 +650,12 @@ int main(int argc, char** argv) {
       compare_with_serial_reference(dims, steps, script, runs);
   check.expect(reference.runs_ok,
                "every command succeeds on every concurrent client");
-  const std::vector<double>& iso_latency_ms = reference.latency_ms;
   const bool bitwise = reference.ok && reference.bitwise;
   check.expect(bitwise,
                "concurrent tight-budget results are bitwise identical to "
                "the isolated unlimited-budget reference");
 
   // --- Metrics.
-  std::vector<double> latencies;
-  for (const auto& run : runs) {
-    latencies.insert(latencies.end(), run->latency_ms.begin(),
-                     run->latency_ms.end());
-  }
-  const double p50 = percentile(latencies, 0.50);
-  const double p99 = percentile(latencies, 0.99);
-  const double iso_p50 = percentile(iso_latency_ms, 0.50);
-  const double iso_p99 = percentile(iso_latency_ms, 0.99);
   const std::uint64_t derived_requests =
       storm_stats.derived_hits + storm_stats.derived_misses;
   // Dedup from TF lookups only: a client's repeated histogram reads hit
@@ -774,34 +672,30 @@ int main(int argc, char** argv) {
           : 1.0 - static_cast<double>(unique_entries) /
                       static_cast<double>(derived_requests);
 
-  // Lines marked timing-dependent change between runs of one build (wall
-  // time, or storm counters that depend on how the clients interleave);
-  // every other line of this report is reproducible and diffable.
+  // Lines marked timing-dependent change between runs of one build (storm
+  // counters that depend on how the clients interleave); every other line
+  // of this report is reproducible and diffable.
   const std::string timing = "timing-dependent";
   Table table({"metric", "value"});
   table.add_row({"clients", std::to_string(clients)});
-  table.add_row({"commands_total", std::to_string(latencies.size())});
+  table.add_row(
+      {"commands_total", std::to_string(runs.size() * script.size())});
   table.add_row({"derived_entries", std::to_string(unique_entries)});
   table.add_row({"quota_steps", std::to_string(quota_steps)});
   table.print(std::cout);
-  const std::pair<const char*, std::string> timed[] = {
-      {"storm_seconds", Table::num(storm_seconds, 3)},
-      {"p50_ms", Table::num(p50, 3)},
-      {"p99_ms", Table::num(p99, 3)},
-      {"isolated_p50_ms", Table::num(iso_p50, 3)},
-      {"isolated_p99_ms", Table::num(iso_p99, 3)},
+  const std::pair<const char*, std::string> varying[] = {
       {"dedup_hit_rate", Table::num(dedup_rate, 3)},
       {"entry_collapse", Table::num(entry_collapse, 3)},
       {"evictions", std::to_string(storm_stats.evictions)}};
-  for (const auto& [name, value] : timed) {
+  for (const auto& [name, value] : varying) {
     std::cout << timing << " " << name << " " << value << "\n";
   }
   std::cout << timing << " " << storm_stats.summary() << "\n\n";
 
   // Per-client reporting iterates in ascending session id, never creation
-  // or completion order: the fairness table, CSV, and JSON are part of the
-  // determinism contract's observable surface (two runs of the same storm
-  // must emit byte-identical client listings).
+  // or completion order: the fairness table is part of the determinism
+  // contract's observable surface (two runs of the same storm must emit
+  // byte-identical client listings).
   std::vector<std::size_t> by_id(runs.size());
   std::iota(by_id.begin(), by_id.end(), std::size_t{0});
   std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
@@ -836,59 +730,6 @@ int main(int argc, char** argv) {
                "no client's pinned bytes exceed its admission quota");
   check.expect(denied_total > 0,
                "the pin quota visibly denied window pins");
-
-  // --- Persist: latency distribution, trajectory, fairness, JSON summary.
-  CsvWriter lat_csv(bench::output_dir() + "/perf_server_latency.csv",
-                    {"client", "command", "latency_ms"});
-  for (const std::size_t c : by_id) {
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      lat_csv.row(runs[c]->id, i, runs[c]->latency_ms[i]);
-    }
-  }
-  CsvWriter traj_csv(
-      bench::output_dir() + "/perf_server_trajectory.csv",
-      {"ms", "hits", "misses", "derived_hits", "derived_misses"});
-  for (const auto& row : trajectory) {
-    traj_csv.row(row[0], row[1], row[2], row[3], row[4]);
-  }
-  CsvWriter fair_csv(
-      bench::output_dir() + "/perf_server_fairness.csv",
-      {"client", "accesses", "reloads", "denied_pins", "pinned_steps"});
-  for (const std::size_t c : by_id) {
-    fair_csv.row(runs[c]->id, fairness[c].accesses, fairness[c].reloads,
-                 fairness[c].denied_pins, fairness[c].pinned_steps);
-  }
-
-  std::ofstream json("BENCH_server.json");
-  json << "{\n"
-       << "  \"clients\": " << clients << ",\n"
-       << "  \"steps\": " << steps << ",\n"
-       << "  \"commands_total\": " << latencies.size() << ",\n"
-       << "  \"storm_seconds\": " << storm_seconds << ",\n"
-       << "  \"p50_ms\": " << p50 << ",\n"
-       << "  \"p99_ms\": " << p99 << ",\n"
-       << "  \"isolated_p50_ms\": " << iso_p50 << ",\n"
-       << "  \"isolated_p99_ms\": " << iso_p99 << ",\n"
-       << "  \"dedup_hit_rate\": " << dedup_rate << ",\n"
-       << "  \"derived_entries\": " << unique_entries << ",\n"
-       << "  \"entry_collapse\": " << entry_collapse << ",\n"
-       << "  \"evictions\": " << storm_stats.evictions << ",\n"
-       << "  \"bitwise_identical\": " << (bitwise ? "true" : "false")
-       << ",\n"
-       << "  \"per_client\": [\n";
-  for (std::size_t k = 0; k < by_id.size(); ++k) {
-    const std::size_t c = by_id[k];
-    json << "    {\"client\": " << runs[c]->id
-         << ", \"accesses\": " << fairness[c].accesses
-         << ", \"reloads\": " << fairness[c].reloads
-         << ", \"denied_pins\": " << fairness[c].denied_pins
-         << ", \"pinned_steps\": " << fairness[c].pinned_steps << "}"
-         << (k + 1 < by_id.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "server report (" << timing << "): p50 " << p50
-            << " ms, p99 " << p99 << " ms, dedup " << dedup_rate
-            << " -> BENCH_server.json\n";
 
   return check.exit_code();
 }

@@ -38,10 +38,8 @@
 #include "stream/fault_injection.hpp"
 #include "stream/streamed_sequence.hpp"
 #include "util/alloc_guard.hpp"
-#include "util/csv.hpp"
 #include "util/determinism.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 // Counting operator new/delete for this binary: the warm-hit section below
 // asserts the IFET_HOT cache lookup never allocates (the LRU refresh is a
@@ -133,20 +131,17 @@ int main() {
   stream_cfg.lookahead = 2;
   StreamedSequence streamed(reader, stream_cfg);
 
-  Stopwatch scan_watch;
   bool scan_correct = true;
   for (int t = 0; t < cfg.num_steps; ++t) {
     if (!volumes_equal(streamed.step(t), reader->generate(t))) {
       scan_correct = false;
     }
   }
-  const double scan_seconds = scan_watch.seconds();
   const StreamStats scan_stats = streamed.stats();
 
   Table table({"metric", "value"});
   table.add_row({"budget_steps", "3"});
   table.add_row({"lookahead", "2"});
-  table.add_row({"scan_seconds", Table::num(scan_seconds, 4)});
   table.add_row({"evictions", std::to_string(scan_stats.evictions)});
   table.add_row({"prefetch_hit_rate",
                  Table::num(scan_stats.prefetch_hit_rate(), 3)});
@@ -154,11 +149,6 @@ int main() {
                  std::to_string(scan_stats.peak_bytes_resident)});
   table.print(std::cout);
   std::cout << scan_stats.summary() << "\n\n";
-
-  CsvWriter csv(bench::output_dir() + "/perf_stream.csv",
-                {"scan_seconds", "evictions", "prefetch_hit_rate"});
-  csv.row(scan_seconds, scan_stats.evictions,
-          scan_stats.prefetch_hit_rate());
 
   check.expect(scan_correct,
                "streamed scan returns the exact volumes the source decodes");

@@ -6,9 +6,11 @@
 #include <istream>
 #include <ostream>
 #include <span>
+#include <string>
 
 #include "stream/derived_cache.hpp"
 #include "util/error.hpp"
+#include "util/io_error.hpp"
 
 namespace ifet {
 
@@ -216,8 +218,9 @@ std::unique_ptr<Iatf> Iatf::load(std::istream& is,
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  IFET_REQUIRE(magic == "ifet-iatf" && version == 1,
-               "Iatf::load: not an ifet-iatf v1 stream");
+  if (!is || magic != "ifet-iatf" || version != 1) {
+    throw CorruptDataError("Iatf::load: not an ifet-iatf v1 stream");
+  }
   IatfConfig config;
   int use_value = 0, use_ch = 0, use_time = 0;
   is >> use_value >> use_ch >> use_time >> config.hidden_units;
@@ -227,7 +230,12 @@ std::unique_ptr<Iatf> Iatf::load(std::istream& is,
   double vlo = 0.0, vhi = 0.0;
   int num_steps = 0;
   is >> vlo >> vhi >> num_steps;
-  IFET_REQUIRE(static_cast<bool>(is), "Iatf::load: truncated header");
+  if (!is) throw CorruptDataError("Iatf::load: truncated header");
+  // Checked before the Iatf below builds its network of this width.
+  if (config.hidden_units < 1 || config.hidden_units > Mlp::kMaxLayerWidth) {
+    throw CorruptDataError("Iatf::load: hidden width outside [1, " +
+                           std::to_string(Mlp::kMaxLayerWidth) + "]");
+  }
   auto [slo, shi] = sequence.value_range();
   IFET_REQUIRE(std::fabs(slo - vlo) < 1e-9 && std::fabs(shi - vhi) < 1e-9,
                "Iatf::load: sequence value range differs from the trained "
@@ -237,8 +245,10 @@ std::unique_ptr<Iatf> Iatf::load(std::istream& is,
                "count");
   auto out = std::make_unique<Iatf>(sequence, config);
   out->network_ = Mlp::load(is);
-  IFET_REQUIRE(out->network_.num_inputs() == out->input_width_,
-               "Iatf::load: network width inconsistent with input flags");
+  if (out->network_.num_inputs() != out->input_width_) {
+    throw CorruptDataError(
+        "Iatf::load: network width inconsistent with input flags");
+  }
   return out;
 }
 

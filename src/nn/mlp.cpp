@@ -5,10 +5,12 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "math/fastexp.hpp"
 #include "util/error.hpp"
 #include "util/hashing.hpp"
+#include "util/io_error.hpp"
 
 namespace ifet {
 
@@ -270,18 +272,42 @@ Mlp Mlp::load(std::istream& is) {
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  IFET_REQUIRE(magic == "ifet-mlp" && version == 1,
-               "Mlp::load: not an ifet-mlp v1 stream");
+  if (!is || magic != "ifet-mlp" || version != 1) {
+    throw CorruptDataError("Mlp::load: not an ifet-mlp v1 stream");
+  }
   std::size_t num_layers = 0;
   is >> num_layers;
-  IFET_REQUIRE(num_layers >= 2 && num_layers < 64,
-               "Mlp::load: implausible layer count");
+  if (!is || num_layers < 2 || num_layers >= 64) {
+    throw CorruptDataError("Mlp::load: implausible layer count");
+  }
+  // Every size is checked before the constructor allocates. Each factor is
+  // at most kMaxLayerWidth + 1 and there are fewer than 64 links, so the
+  // parameter count cannot overflow.
   std::vector<int> sizes(num_layers);
-  for (auto& s : sizes) is >> s;
+  std::size_t params = 0;
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    is >> sizes[l];
+    if (!is || sizes[l] < 1 || sizes[l] > kMaxLayerWidth) {
+      throw CorruptDataError("Mlp::load: layer size outside [1, " +
+                             std::to_string(kMaxLayerWidth) + "]");
+    }
+    if (l > 0) {
+      params += static_cast<std::size_t>(sizes[l - 1] + 1) *
+                static_cast<std::size_t>(sizes[l]);
+    }
+  }
+  constexpr auto kMaxParams = static_cast<std::size_t>(kMaxLayerWidth) *
+                              static_cast<std::size_t>(kMaxLayerWidth);
+  if (params > kMaxParams) {
+    throw CorruptDataError("Mlp::load: " + std::to_string(params) +
+                           " parameters exceed the bound of " +
+                           std::to_string(kMaxParams));
+  }
   int act = 0;
   is >> act;
-  IFET_REQUIRE(act >= 0 && act <= static_cast<int>(Activation::kTanh),
-               "Mlp::load: unknown activation id");
+  if (!is || act < 0 || act > static_cast<int>(Activation::kTanh)) {
+    throw CorruptDataError("Mlp::load: unknown activation id");
+  }
   Rng dummy(0);
   Mlp mlp(sizes, dummy, static_cast<Activation>(act));
   for (std::size_t l = 0; l < mlp.weights_.size(); ++l) {
@@ -290,7 +316,7 @@ Mlp Mlp::load(std::istream& is) {
       is >> mlp.biases_[l][j];
     }
   }
-  IFET_REQUIRE(static_cast<bool>(is), "Mlp::load: truncated stream");
+  if (!is) throw CorruptDataError("Mlp::load: truncated stream");
   return mlp;
 }
 

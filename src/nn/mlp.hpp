@@ -93,7 +93,13 @@ class Mlp {
   const std::vector<std::vector<double>>& biases() const { return biases_; }
   std::vector<std::vector<double>>& mutable_biases() { return biases_; }
 
-  /// Text (de)serialization; round-trips exactly via hex doubles.
+  /// Widest layer a model stream may declare. load() rejects a wider
+  /// layer, or more than kMaxLayerWidth^2 parameters in total, before it
+  /// allocates; the networks of the paper are tens of units wide.
+  static constexpr int kMaxLayerWidth = 1024;
+
+  /// Text (de)serialization; round-trips exactly via hex doubles. load()
+  /// throws CorruptDataError on a malformed or truncated stream.
   void save(std::ostream& os) const;
   static Mlp load(std::istream& is);
 

@@ -23,7 +23,9 @@
 // CacheManager rank, so the hot note_access() is legal on IFET_HOT fetch
 // paths, and deliberately never held across CacheManager calls: set_window
 // returns the pin/unpin delta for the *caller* to apply, which keeps the
-// 35 -> 30 inversion structurally impossible.
+// 35 -> 30 inversion structurally impossible. Callers hold delta_order()
+// (kPinDelta, below both) from the ledger call until the delta is applied,
+// so deltas reach the cache in ledger order.
 #pragma once
 
 #include <atomic>
@@ -124,6 +126,14 @@ class AdmissionController {
   /// threshold and oscillate the hysteresis. Alloc-free.
   IFET_HOT std::size_t demanded_pin_steps() const IFET_EXCLUDES(mutex_);
 
+  /// Hold from a call that returns deltas (set_window, release_client,
+  /// set_quota_scale) until they are applied to the CacheManager. A window
+  /// move and a pressure clamp of one client then reach the cache in
+  /// ledger order, so an unpin never overtakes the pin it revokes.
+  OrderedMutex& delta_order() IFET_RETURN_CAPABILITY(delta_order_) {
+    return delta_order_;
+  }
+
  private:
   struct Ledger {
     bool active = false;
@@ -147,6 +157,7 @@ class AdmissionController {
 
   mutable OrderedMutex mutex_{MutexRank::kAdmission};
   std::vector<Ledger> clients_ IFET_GUARDED_BY(mutex_);
+  OrderedMutex delta_order_{MutexRank::kPinDelta};
 };
 
 }  // namespace ifet

@@ -15,6 +15,7 @@ ClientSequenceView::ClientSequenceView(StreamTier& tier, int pin_radius,
 ClientSequenceView::~ClientSequenceView() {
   // Give back everything this client pinned; the counted cache pins
   // compose, so a step another client also pinned stays pinned.
+  OrderedMutexLock order(tier_.admission().delta_order());
   std::vector<int> unpin = tier_.admission().release_client(client_);
   CacheManager& cache = tier_.store().cache();
   for (int s : unpin) cache.unpin(s);
@@ -24,13 +25,17 @@ void ClientSequenceView::apply_window(int lo, int hi, int center) const {
   // Admission is a leaf lock and cache pins trigger loads, so both run
   // with the sequence mutex released (StreamedSequence calls this hook
   // after unlocking).
-  WindowDelta delta = tier_.admission().set_window(client_, lo, hi, center);
-  CacheManager& cache = tier_.store().cache();
-  for (int s : delta.unpin) cache.unpin(s);
+  WindowDelta delta;
+  {
+    OrderedMutexLock order(tier_.admission().delta_order());
+    delta = tier_.admission().set_window(client_, lo, hi, center);
+    CacheManager& cache = tier_.store().cache();
+    for (int s : delta.unpin) cache.unpin(s);
+    for (int s : delta.pin) cache.pin(s);
+  }
+  // Warm the newly pinned slots; the center is what triggered the move
+  // and is being fetched by the caller already.
   for (int s : delta.pin) {
-    cache.pin(s);
-    // Warm the newly pinned slot; the center is what triggered the move
-    // and is being fetched by the caller already.
     if (s != center) tier_.store().prefetch(s);
   }
 }

@@ -38,8 +38,15 @@ inline std::atomic<std::uint64_t>& deallocation_count() {
   return count;
 }
 
-inline void note_alloc() {
+/// Total bytes requested through operator new. Monotonic; never reset.
+inline std::atomic<std::uint64_t>& allocated_bytes() {
+  static std::atomic<std::uint64_t> bytes{0};
+  return bytes;
+}
+
+inline void note_alloc(std::size_t size) {
   allocation_count().fetch_add(1, std::memory_order_relaxed);
+  allocated_bytes().fetch_add(size, std::memory_order_relaxed);
 }
 
 inline void note_free() {
@@ -49,14 +56,17 @@ inline void note_free() {
 }  // namespace alloc_guard
 
 /// RAII allocation probe: `allocations()` is the number of operator-new
-/// calls (process-wide, all threads) since this scope was constructed.
-/// Steady-state sections assert `scope.allocations() == 0` after a
-/// warm-up pass.
+/// calls (process-wide, all threads) since this scope was constructed, and
+/// `bytes()` the bytes they requested. Steady-state sections assert
+/// `scope.allocations() == 0` after a warm-up pass; decoders of hostile
+/// input bound `scope.bytes()`.
 class DenyAllocScope {
  public:
   DenyAllocScope()
       : start_(alloc_guard::allocation_count().load(
-            std::memory_order_relaxed)) {}
+            std::memory_order_relaxed)),
+        start_bytes_(
+            alloc_guard::allocated_bytes().load(std::memory_order_relaxed)) {}
 
   DenyAllocScope(const DenyAllocScope&) = delete;
   DenyAllocScope& operator=(const DenyAllocScope&) = delete;
@@ -66,8 +76,14 @@ class DenyAllocScope {
            start_;
   }
 
+  std::uint64_t bytes() const {
+    return alloc_guard::allocated_bytes().load(std::memory_order_relaxed) -
+           start_bytes_;
+  }
+
  private:
   std::uint64_t start_;
+  std::uint64_t start_bytes_;
 };
 
 }  // namespace ifet
@@ -81,12 +97,12 @@ class DenyAllocScope {
 // silent and the counters honest under any optimization level.
 #define IFET_ALLOC_GUARD_INSTALL()                                        \
   __attribute__((noinline)) void* operator new(std::size_t size) {        \
-    ::ifet::alloc_guard::note_alloc();                                    \
+    ::ifet::alloc_guard::note_alloc(size);                                \
     if (void* p = std::malloc(size ? size : 1)) return p;                 \
     throw std::bad_alloc();                                               \
   }                                                                       \
   __attribute__((noinline)) void* operator new[](std::size_t size) {      \
-    ::ifet::alloc_guard::note_alloc();                                    \
+    ::ifet::alloc_guard::note_alloc(size);                                \
     if (void* p = std::malloc(size ? size : 1)) return p;                 \
     throw std::bad_alloc();                                               \
   }                                                                       \

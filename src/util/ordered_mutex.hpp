@@ -44,6 +44,8 @@ enum class MutexRank : int {
   kPressure = 15,          ///< PressureMonitor transition state (held across
                            ///< admission/cache/derived calls, all ranked
                            ///< higher, while a pressure transition applies)
+  kPinDelta = 17,          ///< AdmissionController delta order (held from a
+                           ///< ledger change until its pins reach the cache)
   kVolumeStore = 20,       ///< VolumeStore load counters
   kCacheManager = 30,      ///< CacheManager residency state
   kAdmission = 35,         ///< AdmissionController per-client pin ledger
@@ -63,7 +65,7 @@ namespace detail {
 /// exactly such a destructor. A POD thread_local has no destructor, so
 /// its storage stays valid through program teardown. Capacity 16 is
 /// above the deepest legal chain (ranks strictly increase and the rank
-/// table has 12 entries).
+/// table has 13 entries).
 struct HeldRanks {
   static constexpr int kCapacity = 16;
   int ranks[kCapacity];

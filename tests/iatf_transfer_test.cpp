@@ -4,13 +4,20 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "core/batch.hpp"
 #include "render/raycaster.hpp"
 #include "core/iatf.hpp"
 #include "flowsim/datasets.hpp"
 #include "stream/streamed_sequence.hpp"
+#include "util/alloc_guard.hpp"
 #include "util/error.hpp"
+#include "util/io_error.hpp"
+
+// Counting operator new/delete, so the hostile-stream test can bound what
+// Iatf::load allocates before it rejects a header.
+IFET_ALLOC_GUARD_INSTALL();
 
 namespace ifet {
 namespace {
@@ -90,6 +97,32 @@ TEST(IatfTransfer, LoadValidatesCompatibility) {
 
   std::stringstream garbage("not-an-iatf 1\n");
   EXPECT_THROW(Iatf::load(garbage, seq), Error);
+}
+
+TEST(IatfTransfer, LoadRejectsCorruptStreamsTyped) {
+  StreamedSequence seq(drift_source(5));
+  Iatf trained(seq);
+  trained.add_key_frame(0, band(0.35, 0.45));
+  std::stringstream full;
+  trained.save(full);
+  const std::string text = full.str();
+  const std::size_t config_end = text.find('\n', text.find('\n') + 1) + 1;
+  const std::string range = "0 1 5\n";  // matches drift_source(5)
+
+  const std::string streams[] = {
+      text.substr(0, config_end),                      // truncated header
+      "ifet-iatf 1\n1 1 1 2000000000\n" + range,       // huge hidden width
+      "ifet-iatf 1\n1 1 1 -3\n" + range,               // negative width
+      text.substr(0, config_end) + range +
+          "ifet-mlp 1 2 2000000000 2000000000 0\n",    // huge network
+      text.substr(0, text.size() / 2),                 // truncated weights
+  };
+  for (const std::string& s : streams) {
+    std::stringstream stream(s);
+    DenyAllocScope scope;
+    EXPECT_THROW(Iatf::load(stream, seq), CorruptDataError) << s;
+    EXPECT_LT(scope.bytes(), 1u << 20) << s;
+  }
 }
 
 TEST(IatfTransfer, AblatedConfigSurvivesRoundTrip) {

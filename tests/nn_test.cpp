@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "nn/mlp.hpp"
 #include "nn/normalizer.hpp"
 #include "nn/training.hpp"
+#include "util/alloc_guard.hpp"
 #include "util/error.hpp"
+#include "util/io_error.hpp"
+
+// Counting operator new/delete, so the hostile-stream tests can bound what
+// Mlp::load allocates before it rejects a header.
+IFET_ALLOC_GUARD_INSTALL();
 
 namespace ifet {
 namespace {
@@ -172,7 +179,47 @@ TEST(Mlp, SaveLoadRoundTripsExactly) {
 
 TEST(Mlp, LoadRejectsGarbage) {
   std::stringstream bad("not-a-network 1\n");
-  EXPECT_THROW(Mlp::load(bad), Error);
+  EXPECT_THROW(Mlp::load(bad), CorruptDataError);
+}
+
+// A malformed model stream fails typed, and before anything sized by its
+// header is allocated: well under 1 MB, where a {2e9, 2e9} network would
+// ask for 16 GB per weight row.
+void expect_corrupt_and_small(const std::string& text) {
+  std::stringstream stream(text);
+  DenyAllocScope scope;
+  EXPECT_THROW(Mlp::load(stream), CorruptDataError) << text;
+  EXPECT_LT(scope.bytes(), 1u << 20) << text;
+}
+
+TEST(Mlp, LoadRejectsHugeLayerSizes) {
+  expect_corrupt_and_small("ifet-mlp 1 2 2000000000 2000000000 0\n");
+  expect_corrupt_and_small("ifet-mlp 1 3 4 99999999999 1 0\n");
+  // Every width in range, but the parameter total exceeds the bound.
+  const std::string w = std::to_string(Mlp::kMaxLayerWidth);
+  expect_corrupt_and_small("ifet-mlp 1 3 " + w + " " + w + " " + w + " 0\n");
+}
+
+TEST(Mlp, LoadRejectsNegativeAndZeroSizes) {
+  expect_corrupt_and_small("ifet-mlp 1 3 4 -5 1 0\n");
+  expect_corrupt_and_small("ifet-mlp 1 3 4 0 1 0\n");
+  expect_corrupt_and_small("ifet-mlp 1 -2 4 1 0\n");
+  expect_corrupt_and_small("ifet-mlp 1 0 0\n");
+}
+
+TEST(Mlp, LoadRejectsTruncatedStreams) {
+  Rng rng(33);
+  Mlp net({3, 7, 2}, rng);
+  std::stringstream full;
+  net.save(full);
+  const std::string text = full.str();
+  // Cut inside the weights, before the activation id, and before the
+  // layer sizes.
+  for (const std::size_t keep :
+       {text.size() / 2, text.find('\n', 12) + 1, std::size_t{11}}) {
+    expect_corrupt_and_small(text.substr(0, keep));
+  }
+  expect_corrupt_and_small("ifet-mlp 1 3 3 7 2 9\n");  // unknown activation
 }
 
 TEST(Mlp, ResizedInputsTransfersSurvivingWeights) {

@@ -5,6 +5,7 @@
 // data), and per-client fail policies must compose independently.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -393,6 +394,54 @@ TEST(StreamTier, AdmissionQuotaClampsPinsNotData) {
 
   // The one admitted pin (window center, step 2) survived the scan.
   EXPECT_TRUE(tier.store().cache().resident(2));
+}
+
+// A client's window move and a pressure clamp both turn admission-ledger
+// changes into CacheManager pins and unpins, with the ledger lock
+// released. Applied out of ledger order, a clamp's unpin could reach the
+// cache before the window pin it revokes and throw "unpin: step is not
+// pinned" on the drain loop (seen under TSan in the overload harness).
+// Here one thread moves a 3-step window while another flips the pressure
+// monitor in and out by widening and narrowing a second client's window.
+TEST(StreamTier, WindowPinsAndPressureClampsApplyInLedgerOrder) {
+  StreamTierConfig config;
+  // Demand at full quota: mover 3 + toggler 3 of 7 steps engages (0.86),
+  // mover 3 + toggler 1 releases (0.57).
+  config.budget_bytes = 7 * kStepBytes;
+  config.pin_quota_bytes = 3 * kStepBytes;
+  config.lookahead = 0;
+  config.async_prefetch = false;
+  config.pressure.enabled = true;
+  StreamTier tier(blob_source(12), config);
+  ClientSequenceView mover(tier);
+  ClientSequenceView toggler(tier);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::thread pressure([&] {
+    try {
+      while (!done.load(std::memory_order_relaxed)) {
+        toggler.hint_window(9, 11);
+        tier.poll_pressure();
+        toggler.hint_window(10, 10);
+        tier.poll_pressure();
+      }
+    } catch (const Error&) {
+      errors.fetch_add(1);
+    }
+  });
+  try {
+    for (int i = 0; i < 100000; ++i) mover.hint_window(i % 7, i % 7 + 2);
+  } catch (const Error&) {
+    errors.fetch_add(1);
+  }
+  done.store(true, std::memory_order_relaxed);
+  pressure.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  const PressureReport report = tier.pressure().report();
+  EXPECT_GT(report.enters, 0u);
+  EXPECT_GT(report.exits, 0u);
 }
 
 TEST(StreamTier, OverlappingClientPinsCompose) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command tier-1 verification (docs/CORRECTNESS.md):
-#   1. default preset: configure, build, full ctest (includes ifet_lint
-#      and the lint fixture regressions)
+#   1. default preset: configure, build, full ctest (includes ifet_lint,
+#      the lint fixture regressions and the bench_perf_* correctness gates)
 #   1b. shape gates: every bench_fig*, bench_ablation_inputs,
 #      bench_ablation_training and bench_tracking_methods from the default
 #      build; each exits nonzero when its paper figure's claim fails
@@ -18,26 +18,21 @@
 #      build/ci_determinism_lint.json (docs/STATIC_ANALYSIS.md)
 #   4. asan-ubsan preset: configure, build, full ctest under ASan+UBSan
 #      with IFET_DEBUG_ASSERT checks and the OrderedMutex lock-order
-#      validator on, then bench_perf_classify --replay-check-only
-#      (bounds-checks the feature assembler's border reads)
+#      validator on; its bench_perf_classify gate bounds-checks the
+#      feature assembler's border reads
 #   5. tsan preset: build + run the streaming/concurrency stress tests
 #      (the CacheManager/Prefetcher, fault-storm, thread-pool, and
-#      multi-tenant-server race detectors), server_test, stream_test and
-#      concurrency_regression_test, plus the bench AllocGuard
-#      steady-state checks (FlatMlp forward_batch, Raycaster row kernel,
-#      CacheManager hit path) in their fast check-only modes, the
-#      render-equivalence smoke (brick empty-space skipping vs the scalar
-#      march, bitwise, all compositing variants), two ReplayCheck smokes
-#      (bench_perf_classify --replay-check-only: FlatMlp classify digests,
-#      and bench_perf_render --replay-check-only: frames and RenderStats
-#      counters of the dynamic row schedule, both across perturbed thread
-#      counts), and the bench_perf_server --smoke
-#      load generator (deterministic small fleet, bitwise-equivalence
-#      gate) under TSan
-#   5b. overload harness: bench_perf_server --overload --smoke under TSan
+#      multi-tenant-server race detectors), server_test, stream_test,
+#      concurrency_regression_test and the bench gates: bench_perf_classify
+#      and bench_perf_render (AllocGuard steady-state checks, bitwise
+#      parity, ReplayCheck digests across perturbed thread counts),
+#      bench_perf_stream (CacheManager hit path, streamed equivalence,
+#      fault modes) and bench_perf_server (deterministic small fleet,
+#      bitwise-equivalence gate)
+#   5b. overload harness: bench_perf_server --overload under TSan
 #      (bounded queues, typed refusals, deadlines, pressure, watchdog;
-#      docs/ROBUSTNESS.md "Overload and deadlines"), archiving the
-#      shed/latency JSON as build-tsan/ci_overload_bench.json
+#      docs/ROBUSTNESS.md "Overload and deadlines"), archiving its stdout
+#      as build-tsan/ci_overload_bench.txt
 #   6. thread-safety: clang build with -Wthread-safety promoted to errors
 #      over the IFET_GUARDED_BY annotations (docs/STATIC_ANALYSIS.md);
 #      skips if clang is not installed
@@ -166,31 +161,30 @@ stage_determinism_lint() {
 }
 
 stage_asan() {
-  # After ctest, the classify replay: the shells of its 32^3 volume cross
-  # every face, so ASan bounds-checks the feature assembler's in-place
-  # clamped edge reads at pool widths {1, 4, hw}.
+  # ctest includes the bench_perf_classify gate: the shells of its replay
+  # volume cross every face, so ASan bounds-checks the feature assembler's
+  # in-place clamped edge reads at pool widths {1, 4, hw}.
   cmake --preset asan-ubsan &&
     cmake --build --preset asan-ubsan -j "$JOBS" &&
-    ctest --preset asan-ubsan -j "$JOBS" &&
-    "$ROOT/build-asan-ubsan/bench/bench_perf_classify" --replay-check-only
+    ctest --preset asan-ubsan -j "$JOBS"
 }
 
 stage_tsan() {
-  # Stress detectors + the bench AllocGuard steady-state contracts: the
-  # check-only modes skip google-benchmark timing and assert the IFET_HOT
-  # kernels (FlatMlp::forward_batch, Raycaster::render_rows, CacheManager
-  # hits) touch the heap zero times when warm — under TSan, so the same
-  # run also races the guard's atomics against the thread pool. The
-  # render-equivalence smoke (--equiv-check-only) memcmps the brick
-  # empty-space-skipping path against the scalar march across all three
-  # compositing variants, with the row pool racing under TSan; the render
-  # replay (--replay-check-only) digests pixels and RenderStats counters
-  # of the dynamic row-chunk schedule at pool widths {1, 4, hw}.
-  # server_test, stream_test and concurrency_regression_test drive the one
-  # StreamedSequence window path (single-user and per-client views) from
-  # several threads. The multi-tenant server rides along twice: its dedicated stress storm and
-  # the deterministic bench_perf_server load generator in --smoke mode
-  # (small fleet, bitwise tight-vs-infinite-budget equivalence gate).
+  # Stress detectors + the bench gates, each run once through ctest. The
+  # AllocGuard steady-state contracts assert the IFET_HOT kernels
+  # (FlatMlp::forward_batch, Raycaster::render_rows, CacheManager hits)
+  # touch the heap zero times when warm — under TSan, so the same run
+  # also races the guard's atomics against the thread pool. The render
+  # gates memcmp the brick empty-space-skipping path against the scalar
+  # march across all three compositing variants with the row pool racing,
+  # and digest pixels and RenderStats counters of the dynamic row-chunk
+  # schedule at pool widths {1, 4, hw}. server_test, stream_test and
+  # concurrency_regression_test drive the one StreamedSequence window path
+  # (single-user and per-client views) from several threads. The
+  # multi-tenant server rides along twice: its dedicated stress storm and
+  # the deterministic bench_perf_server load generator (small fleet,
+  # bitwise tight-vs-infinite-budget equivalence gate). The overload run
+  # of the same binary is its own stage below.
   cmake --preset tsan &&
     cmake --build --preset tsan -j "$JOBS" --target \
       stress_cache_manager_test stress_fault_storm_test \
@@ -199,14 +193,7 @@ stage_tsan() {
       bench_perf_classify bench_perf_render bench_perf_stream \
       bench_perf_server &&
     ctest --preset tsan -j "$JOBS" -R \
-      'stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|server_test|stream_test|concurrency_regression_test' &&
-    "$ROOT/build-tsan/bench/bench_perf_classify" --alloc-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_classify" --replay-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_render" --render-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_render" --equiv-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_render" --replay-check-only &&
-    "$ROOT/build-tsan/bench/bench_perf_stream" &&
-    (cd "$ROOT/build-tsan/bench" && ./bench_perf_server --smoke)
+      '^(stress_cache_manager_test|stress_fault_storm_test|stress_thread_pool_test|stress_server_test|flat_mlp_test|server_test|stream_test|concurrency_regression_test|bench_perf_classify|bench_perf_render|bench_perf_stream|bench_perf_server)$'
 }
 
 stage_overload() {
@@ -216,12 +203,14 @@ stage_overload() {
   # visible shed/deadline/pressure/watchdog activity, and the
   # bitwise-identical non-shed results — while TSan watches the deadline
   # scopes, the watchdog's lock-free samples, and the pressure
-  # transitions race the strands. The shed/latency JSON is archived next
-  # to the storm bench's BENCH_server.json.
-  (cd "$ROOT/build-tsan/bench" && ./bench_perf_server --overload --smoke) &&
-    cp "$ROOT/build-tsan/bench/BENCH_server_overload.json" \
-      "$ROOT/build-tsan/ci_overload_bench.json" &&
-    echo "overload bench artifact: $ROOT/build-tsan/ci_overload_bench.json"
+  # transitions race the strands. The harness's shed/latency report is
+  # archived as a build artifact.
+  local artifact="$ROOT/build-tsan/ci_overload_bench.txt"
+  "$ROOT/build-tsan/bench/bench_perf_server" --overload >"$artifact" 2>&1
+  local rc=$?
+  cat "$artifact"
+  echo "overload bench artifact: $artifact"
+  return "$rc"
 }
 
 stage_thread_safety() {
